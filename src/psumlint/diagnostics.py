@@ -31,7 +31,7 @@ RULE_CATALOG: dict[str, tuple[Severity, str]] = {
     "P007": (Severity.ERROR, "unterminated bracket"),
     "P008": (Severity.ERROR, "stray character"),
     "R001": (Severity.ERROR, "unresolved name"),
-    "R002": (Severity.ERROR, "duplicate sibling name"),
+    "R002": (Severity.ERROR, "duplicate sibling or root-package name"),
     "R003": (Severity.ERROR, "specialization cycle"),
     "V001": (Severity.ERROR, "stereotype not applicable to element kind"),
     "V002": (Severity.ERROR, "unknown stereotype name"),

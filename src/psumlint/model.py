@@ -8,18 +8,24 @@ build_model turns parsed trees into an immutable model:
   records or R001 diagnostics,
 * wildcard imports make the imported namespace's direct members visible,
 * a small built-in prelude stands in for the standard library names the
-  fixtures assume (ScalarValues, ISQ, SI, Time, RiskMetadata).
+  fixtures assume (ScalarValues, ISQ, SI, Time, RiskMetadata); its
+  ``LevelEnum`` literals are the catalog's risk levels.
 
-Feature chains resolve segment by segment: each segment is looked up in the
-previous element's owned members first, then in members inherited through
-its specialization closure (which covers lookup through feature typing).
+``Model.lookup`` is the one name resolver, used while building and after.
+A chain's first segment is searched in the members of the context and of
+each of its owners, then among the root packages, then through the imports
+of the context and its owners (each user root imports the prelude packages
+last). Every later segment is a member of the previous hit. Members are the
+owned ones first, then those inherited through the specialization closure,
+which covers lookup through feature typing. Imports are resolved before any
+relationship, so they see only direct members and roots.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -85,8 +91,6 @@ _USAGE_KIND_BY_KEYWORD = {
     "metadata": ElementKind.METADATA_USAGE,
     "ref": ElementKind.REF_USAGE,
 }
-
-_DEFINITION_KINDS = frozenset(k for k in _DEF_KIND_BY_KEYWORD.values())
 
 _CATEGORY_BY_KIND = {
     ElementKind.PART_DEF: MetaclassCategory.OCCURRENCE_DEFINITION_LIKE,
@@ -195,10 +199,6 @@ class Element:
     is_prelude: bool = False
     ast: Optional[AstNode] = None
 
-    @property
-    def is_definition(self) -> bool:
-        return self.kind in _DEFINITION_KINDS
-
     def display_name(self) -> str:
         if self.qualified_name:
             return self.qualified_name
@@ -207,40 +207,46 @@ class Element:
 
 @dataclass
 class Model:
+    """The resolved model.
+
+    ``build_model`` creates it when interning ends and resolves through it.
+    While relationships resolve, ``_resolve_on_demand`` resolves each element
+    a closure walks through, and nothing is cached: closures still grow and
+    still hold edges that cycle removal may drop. ``freeze`` starts the cache.
+    """
+
     files: tuple[SourceFile, ...]
     elements: list[Element]
     edges: tuple[SpecializationEdge, ...]
     diagnostics: list[Diagnostic]
     roots: tuple[int, ...]
     prelude_roots: tuple[int, ...]
+    risk_levels: tuple[str, ...] = ()
+    #: scope -> (imported element, wildcard); every user root imports the
+    #: prelude packages' members after its own imports
     imports: dict[int, tuple[tuple[int, bool], ...]] = field(default_factory=dict)
-    _out: dict[int, tuple[SpecializationEdge, ...]] = field(default_factory=dict)
-    _in: dict[int, tuple[SpecializationEdge, ...]] = field(default_factory=dict)
-    _closure_cache: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    _direct: dict[int, dict[str, int]] = field(default_factory=dict)
+    _root_scope: dict[str, int] = field(default_factory=dict)
+    _out: dict[int, Sequence[SpecializationEdge]] = field(default_factory=dict)
+    _closure_cache: Optional[dict[int, tuple[int, ...]]] = None
+    _resolve_on_demand: Optional[Callable[[int], None]] = None
 
-    def element(self, eid: int) -> Element:
-        return self.elements[eid]
-
-    def out_edges(self, eid: int) -> tuple[SpecializationEdge, ...]:
+    def out_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         return self._out.get(eid, ())
-
-    def in_edges(self, eid: int) -> tuple[SpecializationEdge, ...]:
-        return self._in.get(eid, ())
-
-    def owned_elements(self, eid: int):
-        return [self.elements[i] for i in self.elements[eid].owned]
 
     def specialization_closure(self, eid: int) -> tuple[int, ...]:
         """Transitive specialization targets, nearest first, self excluded."""
-        cached = self._closure_cache.get(eid)
-        if cached is not None:
-            return cached
+        cache = self._closure_cache
+        if cache is not None and eid in cache:
+            return cache[eid]
         order: list[int] = []
         seen = {eid}
         frontier = [eid]
         while frontier:
             nxt: list[int] = []
             for node in frontier:
+                if self._resolve_on_demand is not None:
+                    self._resolve_on_demand(node)
                 for edge in self.out_edges(node):
                     if edge.kind in INHERITANCE_KINDS and edge.target not in seen:
                         seen.add(edge.target)
@@ -248,7 +254,8 @@ class Model:
                         nxt.append(edge.target)
             frontier = nxt
         result = tuple(order)
-        self._closure_cache[eid] = result
+        if cache is not None:
+            cache[eid] = result
         return result
 
     def metaclass_category(self, eid: int) -> MetaclassCategory:
@@ -256,50 +263,68 @@ class Model:
 
     def members(self, eid: int) -> dict[str, int]:
         """Named members visible on an element: owned plus inherited."""
-        result: dict[str, int] = {}
-        for scope in (eid, *self.specialization_closure(eid)):
-            for child_id in self.elements[scope].owned:
-                child = self.elements[child_id]
-                if child.name is not None and child.name not in result:
-                    result[child.name] = child_id
+        result = dict(self._direct[eid])
+        for scope in self.specialization_closure(eid):
+            for name, member in self._direct[scope].items():
+                result.setdefault(name, member)
         return result
 
-    def resolve(self, name: str, context: int) -> Optional[int]:
+    def lookup(self, segments: tuple[str, ...], context: Optional[int],
+               exclude: Optional[int] = None
+               ) -> tuple[Optional[list[int]], Optional[str]]:
+        """Resolve a name chain; returns (ids, None) or (None, failing segment).
+
+        ``exclude`` is never the first hit. A ``context`` of None anchors the
+        chain at the roots.
+        """
+        first = self._lookup_first(segments[0], context, exclude)
+        if first is None:
+            return None, segments[0]
+        ids = [first]
+        for segment in segments[1:]:
+            hit = self.members(ids[-1]).get(segment)
+            if hit is None:
+                return None, segment
+            ids.append(hit)
+        return ids, None
+
+    def _lookup_first(self, name: str, context: Optional[int],
+                      exclude: Optional[int]) -> Optional[int]:
+        chain = []
+        while context is not None:
+            chain.append(context)
+            context = self.elements[context].owner
+        for scope in chain:
+            hit = self.members(scope).get(name)
+            if hit is not None and hit != exclude:
+                return hit
+        hit = self._root_scope.get(name)
+        if hit is not None and hit != exclude:
+            return hit
+        for scope in chain:
+            for target, wildcard in self.imports.get(scope, ()):
+                if wildcard:
+                    hit = self._direct[target].get(name)
+                elif self.elements[target].name == name:
+                    hit = target
+                else:
+                    continue
+                if hit is not None and hit != exclude:
+                    return hit
+        return None
+
+    def resolve(self, name: str, context: Optional[int]) -> Optional[int]:
         """Resolve a qualified name / feature chain from a context element."""
-        separators = name.replace("::", ".")
-        segments = tuple(s.strip() for s in separators.split(".") if s.strip())
+        segments = tuple(s.strip() for s in name.replace("::", ".").split(".")
+                         if s.strip())
         if not segments:
             return None
-        resolver = _PostResolver(self)
-        ids = resolver.resolve_segments(segments, context)
+        ids, _failing = self.lookup(segments, context)
         return ids[-1] if ids else None
 
     def resolve_qualified(self, name: str) -> Optional[int]:
         """Resolve a root-anchored qualified name, e.g. from the CLI."""
-        separators = name.replace("::", ".")
-        segments = tuple(s.strip() for s in separators.split(".") if s.strip())
-        if not segments:
-            return None
-        first = None
-        for rid in (*self.roots, *self.prelude_roots):
-            if self.elements[rid].name == segments[0]:
-                first = rid
-                break
-        if first is None:
-            return None
-        cursor = first
-        for segment in segments[1:]:
-            hit = self.members(cursor).get(segment)
-            if hit is None:
-                return None
-            cursor = hit
-        return cursor
-
-    def find_by_qualified_name(self, qualified: str) -> Optional[int]:
-        for element in self.elements:
-            if element.qualified_name == qualified:
-                return element.id
-        return None
+        return self.resolve(name, None)
 
 
 def metaclass_category_of_kind(kind: ElementKind) -> MetaclassCategory:
@@ -315,7 +340,6 @@ PRELUDE_SPEC = {
     "Time": ["DateTime"],
     "RiskMetadata": ["Risk", "LevelEnum"],
 }
-RISK_LEVELS = ("low", "medium", "high")
 
 
 # -- builder -----------------------------------------------------------------
@@ -328,11 +352,11 @@ class _Builder:
         self.roots: list[int] = []
         self.prelude_roots: list[int] = []
         self.imports: dict[int, list[tuple[NamePath, bool]]] = {}
-        self.resolved_imports: dict[int, list[tuple[int, bool]]] = {}
         self.owned: dict[int, list[int]] = {}
         self.member_map: dict[int, dict[str, int]] = {}
         self.resolving: set[int] = set()
         self.resolved: set[int] = set()
+        self.model: Optional[Model] = None
 
     # ---- interning ----------------------------------------------------------
 
@@ -365,7 +389,7 @@ class _Builder:
                     siblings[name] = eid
         return eid
 
-    def build_prelude(self) -> None:
+    def build_prelude(self, risk_levels: tuple[str, ...]) -> None:
         zero = SourceFile(path="<prelude>", content="")
         span = zero.span(0, 0)
         for pkg_name, member_names in PRELUDE_SPEC.items():
@@ -373,15 +397,11 @@ class _Builder:
                                    is_prelude=True)
             self.prelude_roots.append(pkg)
             for member in member_names:
-                if member == "Risk":
-                    kind = ElementKind.ITEM_DEF
-                elif member == "LevelEnum":
-                    kind = ElementKind.ATTRIBUTE_DEF
-                else:
-                    kind = ElementKind.ATTRIBUTE_DEF
+                kind = (ElementKind.ITEM_DEF if member == "Risk"
+                        else ElementKind.ATTRIBUTE_DEF)
                 mid = self.new_element(kind, member, pkg, span, is_prelude=True)
                 if member == "LevelEnum":
-                    for literal in RISK_LEVELS:
+                    for literal in risk_levels:
                         self.new_element(ElementKind.ATTRIBUTE_USAGE, literal, mid,
                                          span, is_prelude=True)
 
@@ -446,104 +466,72 @@ class _Builder:
 
     # ---- resolution ----------------------------------------------------------
 
-    def root_scope(self) -> dict[str, int]:
-        scope: dict[str, int] = {}
-        for rid in (*self.roots, *self.prelude_roots):
+    def start_model(self, files: list[SourceFile],
+                    risk_levels: tuple[str, ...]) -> Model:
+        """Fix ownership, index the roots and hand name lookup to the model."""
+        for eid, owned in self.owned.items():
+            self.elements[eid].owned = tuple(owned)
+        root_scope: dict[str, int] = {}
+        for rid in self.roots:
             element = self.elements[rid]
-            if element.name is not None and element.name not in scope:
-                scope[element.name] = rid
-        return scope
+            if element.name is None:
+                continue
+            first = root_scope.setdefault(element.name, rid)
+            if first != rid:
+                self.diagnostics.append(diagnostics.make(
+                    "R002", element.span,
+                    f"duplicate root package name {element.name!r}",
+                    related=((self.elements[first].span, "first declared here"),)))
+        for rid in self.prelude_roots:
+            root_scope.setdefault(self.elements[rid].name, rid)
+        self.model = Model(
+            files=tuple(files),
+            elements=self.elements,
+            edges=(),
+            diagnostics=self.diagnostics,
+            roots=tuple(self.roots),
+            prelude_roots=tuple(self.prelude_roots),
+            risk_levels=risk_levels,
+            _direct=self.member_map,
+            _root_scope=root_scope,
+        )
+        return self.model
 
-    def direct_members(self, eid: int) -> dict[str, int]:
-        return self.member_map[eid]
+    def resolve_imports(self) -> None:
+        """Resolve imports first: they see only direct members and roots."""
+        resolved: dict[int, list[tuple[int, bool]]] = {}
+        for scope, entries in self.imports.items():
+            targets = resolved.setdefault(scope, [])
+            for path, wildcard in entries:
+                ids, failing = self.model.lookup(path.segments, scope)
+                if ids is None:
+                    self.diagnostics.append(diagnostics.make(
+                        "R001", path.span,
+                        f"cannot resolve {failing!r} in import {path.text!r}"))
+                    continue
+                targets.append((ids[-1], wildcard))
+        prelude = [(pkg, True) for pkg in self.prelude_roots]
+        for rid in self.roots:
+            resolved[rid] = resolved.get(rid, []) + prelude
+        self.model.imports = {k: tuple(v) for k, v in resolved.items()}
 
-    def closure(self, eid: int) -> list[int]:
-        """Nearest-first specialization closure, resolving targets on demand."""
-        order: list[int] = []
-        seen = {eid}
-        frontier = [eid]
-        while frontier:
-            nxt: list[int] = []
-            for node in frontier:
-                self.ensure_resolved(node)
-                for edge in self.edges:
-                    if edge.source != node or edge.kind not in INHERITANCE_KINDS:
-                        continue
-                    if edge.target not in seen:
-                        seen.add(edge.target)
-                        order.append(edge.target)
-                        nxt.append(edge.target)
-            frontier = nxt
-        return order
-
-    def members(self, eid: int) -> dict[str, int]:
-        result = dict(self.direct_members(eid))
-        for scope in self.closure(eid):
-            for name, member in self.direct_members(scope).items():
-                result.setdefault(name, member)
-        return result
-
-    def scope_chain(self, eid: int) -> list[int]:
-        chain = []
-        cursor: Optional[int] = eid
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = self.elements[cursor].owner
-        return chain
-
-    def resolve_first_segment(self, name: str, context: int,
-                              exclude: Optional[int]) -> Optional[int]:
-        chain = self.scope_chain(context)
-        for scope in chain:
-            members = self.members(scope)
-            hit = members.get(name)
-            if hit is not None and hit != exclude:
-                return hit
-        root = self.root_scope()
-        if name in root and root[name] != exclude:
-            return root[name]
-        for scope in chain:
-            for target_id, wildcard in self.resolved_imports.get(scope, ()):
-                if wildcard:
-                    hit = self.direct_members(target_id).get(name)
-                    if hit is not None and hit != exclude:
-                        return hit
-                else:
-                    target = self.elements[target_id]
-                    if target.name == name and target_id != exclude:
-                        return target_id
-        for pkg in self.prelude_roots:
-            hit = self.direct_members(pkg).get(name)
-            if hit is not None:
-                return hit
-        return None
-
-    def resolve_segments(self, segments: tuple[str, ...], context: int,
-                         exclude: Optional[int] = None
-                         ) -> tuple[Optional[list[int]], Optional[str]]:
-        """Resolve a chain; returns (ids, None) or (None, failing segment)."""
-        first = self.resolve_first_segment(segments[0], context, exclude)
-        if first is None:
-            return None, segments[0]
-        ids = [first]
-        for segment in segments[1:]:
-            hit = self.members(ids[-1]).get(segment)
-            if hit is None:
-                return None, segment
-            ids.append(hit)
-        return ids, None
+    def resolve_relationships(self) -> None:
+        self.model._resolve_on_demand = self.ensure_resolved
+        for eid in range(len(self.elements)):
+            self.ensure_resolved(eid)
 
     def resolve_relationship(self, eid: int, path: NamePath, kind: EdgeKind,
                              conjugated: bool = False) -> Optional[list[int]]:
-        ids, failing = self.resolve_segments(path.segments, eid, exclude=eid)
+        ids, failing = self.model.lookup(path.segments, eid, exclude=eid)
         if ids is None:
             self.diagnostics.append(diagnostics.make(
                 "R001", path.span,
                 f"cannot resolve {failing!r} in {path.text!r}"))
             return None
-        self.edges.append(SpecializationEdge(
-            source=eid, target=ids[-1], kind=kind, span=path.span,
-            conjugated=conjugated))
+        edge = SpecializationEdge(source=eid, target=ids[-1], kind=kind,
+                                  span=path.span, conjugated=conjugated)
+        self.edges.append(edge)
+        self.model._out.setdefault(eid, []).append(edge)
         return ids
 
     def ensure_resolved(self, eid: int) -> None:
@@ -583,41 +571,9 @@ class _Builder:
             self.elements[eid].ref_targets = tuple(ref_targets)
         about = node.attr("about")
         if about is not None:
-            ids, _failing = self.resolve_segments(about.segments, eid, exclude=eid)
+            ids, _failing = self.model.lookup(about.segments, eid, exclude=eid)
             if ids:
                 self.elements[eid].about_target = ids[-1]
-
-    def resolve_imports(self) -> None:
-        for scope, entries in self.imports.items():
-            resolved_entries: list[tuple[int, bool]] = []
-            for path, wildcard in entries:
-                ids, failing = self.resolve_segments_no_imports(path.segments, scope)
-                if ids is None:
-                    self.diagnostics.append(diagnostics.make(
-                        "R001", path.span,
-                        f"cannot resolve {failing!r} in import {path.text!r}"))
-                    continue
-                resolved_entries.append((ids[-1], wildcard))
-            self.resolved_imports[scope] = resolved_entries
-
-    def resolve_segments_no_imports(self, segments: tuple[str, ...], context: int
-                                    ) -> tuple[Optional[list[int]], Optional[str]]:
-        first = None
-        for scope in self.scope_chain(context):
-            first = self.direct_members(scope).get(segments[0])
-            if first is not None:
-                break
-        if first is None:
-            first = self.root_scope().get(segments[0])
-        if first is None:
-            return None, segments[0]
-        ids = [first]
-        for segment in segments[1:]:
-            hit = self.direct_members(ids[-1]).get(segment)
-            if hit is None:
-                return None, segment
-            ids.append(hit)
-        return ids, None
 
     # ---- acyclicity ----------------------------------------------------------
 
@@ -656,88 +612,17 @@ class _Builder:
 
     # ---- finish ---------------------------------------------------------------
 
-    def freeze(self, files: list[SourceFile]) -> Model:
-        for eid, owned in self.owned.items():
-            self.elements[eid].owned = tuple(owned)
+    def freeze(self) -> Model:
+        """Install the acyclic edge set and switch the model to caching."""
         out: dict[int, list[SpecializationEdge]] = {}
-        incoming: dict[int, list[SpecializationEdge]] = {}
         for edge in self.edges:
             out.setdefault(edge.source, []).append(edge)
-            incoming.setdefault(edge.target, []).append(edge)
-        model = Model(
-            files=tuple(files),
-            elements=self.elements,
-            edges=tuple(self.edges),
-            diagnostics=self.diagnostics,
-            roots=tuple(self.roots),
-            prelude_roots=tuple(self.prelude_roots),
-        )
-        model._out = {k: tuple(v) for k, v in out.items()}
-        model._in = {k: tuple(v) for k, v in incoming.items()}
-        model.imports = {k: tuple(v) for k, v in self.resolved_imports.items()}
-        return model
-
-
-class _PostResolver:
-    """Name resolution over a finished model (CLI addressing, risk targets)."""
-
-    def __init__(self, model: Model):
-        self.model = model
-
-    def resolve_segments(self, segments: tuple[str, ...], context: int
-                         ) -> Optional[list[int]]:
         model = self.model
-        chain = []
-        cursor: Optional[int] = context
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = model.elements[cursor].owner
-        first = None
-        for scope in chain:
-            first = model.members(scope).get(segments[0])
-            if first is not None:
-                break
-        if first is None:
-            for rid in (*model.roots, *model.prelude_roots):
-                if model.elements[rid].name == segments[0]:
-                    first = rid
-                    break
-        if first is None:
-            imports = getattr(model, "imports", {})
-            for scope in chain:
-                for target_id, wildcard in imports.get(scope, ()):
-                    if wildcard:
-                        hit = None
-                        for child_id in model.elements[target_id].owned:
-                            child = model.elements[child_id]
-                            if child.name == segments[0]:
-                                hit = child_id
-                                break
-                        if hit is not None:
-                            first = hit
-                            break
-                    elif model.elements[target_id].name == segments[0]:
-                        first = target_id
-                        break
-                if first is not None:
-                    break
-        if first is None:
-            for pkg in model.prelude_roots:
-                for child_id in model.elements[pkg].owned:
-                    if model.elements[child_id].name == segments[0]:
-                        first = child_id
-                        break
-                if first is not None:
-                    break
-        if first is None:
-            return None
-        ids = [first]
-        for segment in segments[1:]:
-            hit = model.members(ids[-1]).get(segment)
-            if hit is None:
-                return None
-            ids.append(hit)
-        return ids
+        model.edges = tuple(self.edges)
+        model._out = {k: tuple(v) for k, v in out.items()}
+        model._resolve_on_demand = None
+        model._closure_cache = {}
+        return model
 
 
 def _make_ref_target(ids: list[int], path: NamePath, relation: EdgeKind) -> RefTarget:
@@ -782,21 +667,23 @@ def build_model(parsed: list[tuple[SourceFile, AstNode, list[Diagnostic]]],
     """Assemble a resolved model from parsed files.
 
     ``parsed`` holds (source, tree, parse diagnostics) triples; parse
-    diagnostics are carried into the model's diagnostic list.
+    diagnostics are carried into the model's diagnostic list. ``catalog``
+    (default: the bundled profile catalog) supplies the prelude's risk
+    levels and interprets the annotations.
     """
+    from . import profile  # local import: profile depends on model types
+    catalog = catalog or profile.DEFAULT_CATALOG
     builder = _Builder()
-    builder.build_prelude()
+    builder.build_prelude(catalog.risk_levels)
     files = []
     for source, tree, parse_diags in parsed:
         files.append(source)
         builder.diagnostics.extend(parse_diags)
         builder.intern_tree(tree)
+    builder.start_model(files, catalog.risk_levels)
     builder.resolve_imports()
-    for eid in range(len(builder.elements)):
-        builder.ensure_resolved(eid)
+    builder.resolve_relationships()
     builder.remove_cycles()
-    model = builder.freeze(files)
-
-    from . import profile  # local import: profile depends on model types
+    model = builder.freeze()
     profile.annotate_model(model, catalog=catalog)
     return model

@@ -2,9 +2,10 @@
 
 The catalog (stereotype names, argument-code vocabularies, the
 applicability matrix, reducibility/pattern literals, measurement feature
-keys and risk levels) is plain data. It ships as ``profile-catalog.json``
-next to this module and can be overridden from the command line so external
-tools can consume or adjust the normative tables.
+keys and risk levels) is plain data. ``profile-catalog.json`` next to this
+module is its only statement: ``DEFAULT_CATALOG`` is loaded from it, and
+``--profile-catalog`` replaces it with another file of the same shape. The
+risk levels also name the prelude's ``RiskMetadata::LevelEnum`` literals.
 
 Annotation clauses attached to ``ref`` usages that carry a reference target
 are *reference attachments*: they contribute spec/effect/topic-member
@@ -15,15 +16,15 @@ stereotype applications of their own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from importlib import resources
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import diagnostics
 from .diagnostics import Diagnostic
 from .model import (BodyProperty, EdgeKind, Element, ElementKind, Model,
-                    RefTarget, _PostResolver)
+                    RefTarget)
 from .source import Span
 from .syntax import AnnotationClause, AnnotationEntry, Value
 
@@ -33,12 +34,6 @@ INDETERMINACY_SPECIFICATION = "IndeterminacySpecification"
 UNCERTAINTY = "Uncertainty"
 UNCERTAINTY_TOPIC = "UncertaintyTopic"
 EFFECT = "Effect"
-
-ALL_CATEGORIES = ("OccurrenceDefinitionLike", "OccurrenceUsageLike",
-                  "AttributeDefinition", "AttributeUsage", "ConstraintUsage",
-                  "Other")
-_OCCURRENCE_AND_ATTRIBUTE = ("OccurrenceDefinitionLike", "OccurrenceUsageLike",
-                             "AttributeDefinition", "AttributeUsage")
 
 
 @dataclass(frozen=True)
@@ -86,39 +81,16 @@ class ProfileCatalog:
         )
 
 
-DEFAULT_CATALOG = ProfileCatalog(
-    stereotypes={
-        BELIEF_STATEMENT: ALL_CATEGORIES,
-        INDETERMINACY_SOURCE: _OCCURRENCE_AND_ATTRIBUTE,
-        INDETERMINACY_SPECIFICATION: ("ConstraintUsage",),
-        UNCERTAINTY: _OCCURRENCE_AND_ATTRIBUTE,
-        UNCERTAINTY_TOPIC: _OCCURRENCE_AND_ATTRIBUTE,
-        EFFECT: _OCCURRENCE_AND_ATTRIBUTE,
-    },
-    uncertainty_kinds={
-        "ocr": "Occurrence", "con": "Content", "env": "Environment",
-        "geo": "GeographicalLocation", "time": "Time",
-    },
-    uncertainty_natures={"ale": "Aleatory", "epi": "Epistemic"},
-    perspectives={"subj": "Subjective", "obj": "Objective"},
-    indeterminacy_natures={
-        "isr": "InsufficientResolution", "mi": "MissingInfo",
-        "nd": "NonDeterminism", "uncl": "Unclassified", "cust": "Custom",
-    },
-    reducibility_levels=("FullyReducible", "PartiallyReducible", "Irreducible"),
-    patterns=("Periodic", "Persistent", "Sporadic", "Transient", "Random"),
-    measurement_features=("m_accuracy", "m_sensitivity", "m_measurementError",
-                          "m_precision", "m_degree"),
-    risk_levels=("low", "medium", "high"),
-)
-
-
 def load_catalog(path: Optional[str] = None) -> ProfileCatalog:
+    """Read a catalog file; without ``path``, the bundled one."""
     if path is None:
         text = resources.files(__package__).joinpath("profile-catalog.json").read_text()
         return ProfileCatalog.from_json(text)
     with open(path, "r", encoding="utf-8") as fh:
         return ProfileCatalog.from_json(fh.read())
+
+
+DEFAULT_CATALOG = load_catalog()
 
 
 # -- measured expressions -----------------------------------------------------
@@ -332,9 +304,10 @@ def interpret_annotation(clause: AnnotationClause, element: Element,
     return apps, diags
 
 
-def _characterized_app(apps: list[StereotypeApplication]
-                       ) -> Optional[StereotypeApplication]:
-    for name in (UNCERTAINTY, EFFECT):
+def _first_app(apps: Iterable[StereotypeApplication], names: tuple[str, ...]
+               ) -> Optional[StereotypeApplication]:
+    """The first application of the earliest of ``names`` that has one."""
+    for name in names:
         for app in apps:
             if app.stereotype == name:
                 return app
@@ -344,7 +317,7 @@ def _characterized_app(apps: list[StereotypeApplication]
 def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
                             catalog: ProfileCatalog) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    target = _characterized_app(apps)
+    target = _first_app(apps, (UNCERTAINTY, EFFECT))
     for prop in element.body_properties:
         if prop.name in ("u_reducibility", "u_pattern"):
             literal = prop.value.path.text if (prop.value and prop.value.path) else None
@@ -358,15 +331,9 @@ def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
             if target is not None:
                 base = target.characterization or UncertaintyCharacterization()
                 if prop.name == "u_reducibility":
-                    target.characterization = UncertaintyCharacterization(
-                        kind=base.kind, nature=base.nature,
-                        perspective=base.perspective, reducibility=literal,
-                        pattern=base.pattern, measurements=base.measurements)
+                    target.characterization = replace(base, reducibility=literal)
                 else:
-                    target.characterization = UncertaintyCharacterization(
-                        kind=base.kind, nature=base.nature,
-                        perspective=base.perspective, reducibility=base.reducibility,
-                        pattern=literal, measurements=base.measurements)
+                    target.characterization = replace(base, pattern=literal)
         elif prop.name == "b_duration":
             expr = _measured_expression(prop.value)
             for app in apps:
@@ -384,20 +351,11 @@ def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
                 expr = _measured_expression(feature.value)
                 if expr is not None:
                     entries.append((feature.name, expr))
-            holder = None
-            for name in (UNCERTAINTY, EFFECT, INDETERMINACY_SOURCE, BELIEF_STATEMENT):
-                for app in apps:
-                    if app.stereotype == name:
-                        holder = app
-                        break
-                if holder:
-                    break
+            holder = _first_app(apps, (UNCERTAINTY, EFFECT, INDETERMINACY_SOURCE,
+                                       BELIEF_STATEMENT))
             if holder is not None and entries:
                 base = holder.characterization or UncertaintyCharacterization()
-                holder.characterization = UncertaintyCharacterization(
-                    kind=base.kind, nature=base.nature, perspective=base.perspective,
-                    reducibility=base.reducibility, pattern=base.pattern,
-                    measurements=tuple(entries))
+                holder.characterization = replace(base, measurements=tuple(entries))
     return diags
 
 
@@ -457,26 +415,17 @@ def _attach_reference(model: Model, carrier: Element, clause: AnnotationClause,
         if owner is None or not targets:
             continue
         if entry.name == INDETERMINACY_SPECIFICATION:
-            app = _owner_app(owner, (UNCERTAINTY, EFFECT))
+            app = _first_app(owner.annotations, (UNCERTAINTY, EFFECT))
             if app is not None:
                 app.spec_refs = app.spec_refs + targets
         elif entry.name == EFFECT:
-            app = _owner_app(owner, (UNCERTAINTY, EFFECT))
+            app = _first_app(owner.annotations, (UNCERTAINTY, EFFECT))
             if app is not None:
                 app.effect_refs = app.effect_refs + targets
         elif entry.name == UNCERTAINTY:
-            app = _owner_app(owner, (UNCERTAINTY_TOPIC,))
+            app = _first_app(owner.annotations, (UNCERTAINTY_TOPIC,))
             if app is not None:
                 app.uncertainty_refs = app.uncertainty_refs + targets
-
-
-def _owner_app(owner: Element, stereotypes: tuple[str, ...]
-               ) -> Optional[StereotypeApplication]:
-    for name in stereotypes:
-        for app in owner.annotations:
-            if app.stereotype == name:
-                return app
-    return None
 
 
 # -- risks ---------------------------------------------------------------------
@@ -526,8 +475,7 @@ def _impact_literal(model: Model, element: Element,
     value = prop.value
     if value is None or value.kind != "name" or value.path is None:
         return None
-    resolver = _PostResolver(model)
-    ids = resolver.resolve_segments(value.path.segments, element.id)
+    ids, _failing = model.lookup(value.path.segments, element.id)
     if not ids:
         return None
     literal = model.elements[ids[-1]]

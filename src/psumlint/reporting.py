@@ -24,6 +24,7 @@ from .propagation import (NodeRole, PropagationEdgeKind, PropagationGraph,
 STEREOTYPE_ORDER = (BELIEF_STATEMENT, INDETERMINACY_SOURCE,
                     INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                     UNCERTAINTY_TOPIC, EFFECT)
+_STEREOTYPE_RANK = {name: index for index, name in enumerate(STEREOTYPE_ORDER)}
 
 
 @dataclass
@@ -91,13 +92,13 @@ def model_stats(model: Model, effective: EffectiveMap,
         apps = effective.get(element.id, [])
         direct_kinds = {a.stereotype for a in apps if a.is_direct}
         inherited_kinds = {a.stereotype for a in apps if not a.is_direct}
-        for stereotype in direct_kinds:
+        for stereotype in _in_stereotype_order(direct_kinds):
             cell = counts.setdefault(stereotype, {}).setdefault(
                 element.kind.value,
                 {"direct": 0, "inherited": 0, "element_lom": 0})
             cell["direct"] += 1
             cell["element_lom"] += element_line_extent(element)
-        for stereotype in inherited_kinds - direct_kinds:
+        for stereotype in _in_stereotype_order(inherited_kinds - direct_kinds):
             cell = counts.setdefault(stereotype, {}).setdefault(
                 element.kind.value,
                 {"direct": 0, "inherited": 0, "element_lom": 0})
@@ -134,12 +135,18 @@ def model_stats(model: Model, effective: EffectiveMap,
     report.topics = topic_names
     report.topic_count = len(topic_names)
 
-    levels = {"low": 0, "medium": 0, "high": 0}
+    levels = dict.fromkeys(model.risk_levels, 0)
     for risk in graph.risks:
         if risk.impact in levels:
             levels[risk.impact] += 1
     report.risk_counts = levels
     return report
+
+
+def _in_stereotype_order(kinds: set[str]) -> list[str]:
+    """Profile order first, then any catalog-defined extras by name."""
+    last = len(_STEREOTYPE_RANK)
+    return sorted(kinds, key=lambda name: (_STEREOTYPE_RANK.get(name, last), name))
 
 
 def _direct_count(model: Model, stereotype: str) -> int:
@@ -462,21 +469,3 @@ def render_trace(result, graph: PropagationGraph, fmt: str) -> str:
         lines.append("roots: " + (", ".join(payload["roots"]) or "(none)"))
     return "\n".join(lines) + "\n"
 
-
-def render(payload, fmt: str, **context) -> str:
-    """Dispatcher mirroring the per-payload renderers; raises RenderError."""
-    from .inheritance import DerivedReport
-    if isinstance(payload, StatsReport):
-        return render_stats(payload, fmt)
-    if isinstance(payload, PropagationGraph):
-        return render_graph(payload, fmt)
-    if isinstance(payload, list) and payload and isinstance(payload[0], Diagnostic):
-        return render_diagnostics(payload, fmt)
-    if isinstance(payload, DerivedReport):
-        return render_derived(payload, context["model"], fmt)
-    if isinstance(payload, list) and not payload:
-        if fmt == "json":
-            return render_json([])
-        if fmt == "text":
-            return ""
-    raise RenderError(f"cannot render {type(payload).__name__} as {fmt!r}")

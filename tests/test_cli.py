@@ -105,10 +105,11 @@ def test_propagate_requires_exactly_one_direction(capsys):
 
 
 def test_propagate_bad_qualified_name(capsys):
-    code, _, err = invoke(capsys, "propagate", fixture_path("acc.sysml"),
-                          "--from", "No::Such::Thing")
-    assert code == 3
-    assert "cannot resolve" in err
+    for name in ("No::Such::Thing", "Boolean"):
+        code, _, err = invoke(capsys, "propagate", fixture_path("acc.sysml"),
+                              "--from", name)
+        assert code == 3
+        assert f"cannot resolve qualified name {name!r}" in err
 
 
 def test_propagate_start_outside_graph(capsys):
@@ -124,6 +125,22 @@ def test_propagate_refuses_unresolved_model(capsys):
                           "--from", "StructuralModel::ACC::radars")
     assert code == 2
     assert "R001" in err
+
+
+def test_stats_json_is_independent_of_hash_seed(tmp_path):
+    model = tmp_path / "multi.sysml"
+    model.write_text(
+        "package P { «BeliefStatement, Uncertainty<ocr, epi, subj>, "
+        "IndeterminacySource<nd>» part def A; }", encoding="utf-8")
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        result = subprocess.run(
+            [sys.executable, "-m", "psumlint.cli", "stats", "--format", "json",
+             str(model)], capture_output=True, text=True, env=env)
+        assert result.returncode in (0, 1), result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 def test_stats_json(capsys):
@@ -174,6 +191,20 @@ def test_profile_catalog_override(tmp_path, capsys):
                           "check", fixture_path("vfea.sysml"))
     assert code == 1
     assert "V001" in out
+    # the catalog's risk levels are the only LevelEnum literals
+    model = tmp_path / "risk.sysml"
+    model.write_text(
+        "package P { part a { metadata r defined by RiskMetadata::Risk "
+        "{ impact = RiskMetadata::LevelEnum::medium; } } }", encoding="utf-8")
+    code, out, _ = invoke(capsys, "check", str(model))
+    assert code == 0
+    data = json.loads(DEFAULT_CATALOG.to_json())
+    data["risk_levels"] = ["low", "high"]
+    catalog_path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = invoke(capsys, "--profile-catalog", str(catalog_path),
+                          "check", str(model))
+    assert code == 1
+    assert "V012" in out
 
 
 def test_profile_catalog_bad_file(tmp_path, capsys):

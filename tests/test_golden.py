@@ -33,7 +33,7 @@ FORMATS = {
 
 
 def _invoke(argv: list[str]) -> dict:
-    from psumlint.cli import run
+    from psumlint.cli import run  # run as a script, src/ joins sys.path first
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -1,6 +1,8 @@
-from psumlint.api import analyze_text
+from psumlint.api import analyze_sources, analyze_text
 from psumlint.model import (EdgeKind, ElementKind, MetaclassCategory,
                             metaclass_category_of_kind)
+
+from psumlint.source import SourceFile
 
 from conftest import ALL_FIXTURES, analyze_fixture, fixture_text
 
@@ -55,6 +57,10 @@ def test_resolve_prelude_name(acc):
     boolean = model.resolve("ScalarValues::Boolean", state)
     assert boolean is not None
     assert model.elements[boolean].is_prelude
+    assert model.resolve("Boolean", state) == boolean
+    # root-anchored names do not fall back to the prelude's members
+    assert model.resolve_qualified("ScalarValues::Boolean") == boolean
+    assert model.resolve_qualified("Boolean") is None
 
 
 def test_resolve_behavior_chain_from_sibling_scope(interaction):
@@ -71,6 +77,13 @@ def test_resolution_through_wildcard_import(acc):
     hit = model.resolve("accOn.decisionLayerState.startDeciding", topic)
     assert hit == qn(acc, "BehavioralModel::ACCState::accOn::"
                           "decisionLayerState::startDeciding")
+    # an import inside a specializing def leaves the inherited members visible
+    analysis = analyze_text(
+        "package Lib { part def T; } package P { part def B { attribute v; } "
+        "part def A specializes B { import Lib::*; ref :>> v; } }")
+    assert analysis.model.diagnostics == []
+    ref = [e for e in analysis.model.elements if e.kind is ElementKind.REF_USAGE]
+    assert [t.target for t in ref[0].ref_targets] == [qn(analysis, "P::B::v")]
 
 
 def test_specialization_closure_examples(acc, frigate):
@@ -110,16 +123,32 @@ def test_metaclass_category_total_and_examples():
 
 
 def test_unresolved_name_r001():
-    analysis = analyze_text("package P { part x defined by Missing; }")
-    codes = [d.code for d in analysis.model.diagnostics]
-    assert codes == ["R001"]
-    assert analysis.model.edges == ()
+    for text in ("package P { part x defined by Missing; }",
+                 # imports see neither other imports nor the prelude's members
+                 "package P { import Real; }"):
+        analysis = analyze_text(text)
+        codes = [d.code for d in analysis.model.diagnostics]
+        assert codes == ["R001"], text
+        assert analysis.model.edges == ()
 
 
 def test_duplicate_sibling_r002():
     analysis = analyze_text("package P { part a; part a; }")
     codes = [d.code for d in analysis.model.diagnostics]
     assert codes == ["R002"]
+    # a root package declared again in another file; the first one is A
+    analysis = analyze_sources([
+        SourceFile(path="a.sysml", content="package A { part def X; }"),
+        SourceFile(path="b.sysml", content="package A { part def Y; } "
+                                           "package B { part y : A::Y; }")])
+    diag, unresolved = analysis.model.diagnostics
+    assert unresolved.message == "cannot resolve 'Y' in 'A.Y'"
+    assert diag.code == "R002" and diag.span.file.path == "b.sysml"
+    assert [(span.file.path, note) for span, note in diag.related] == \
+        [("a.sysml", "first declared here")]
+    # a user package may share a prelude package's name
+    analysis = analyze_text("package ScalarValues { attribute def Real; }")
+    assert analysis.model.diagnostics == []
 
 
 def test_specialization_cycle_r003():
