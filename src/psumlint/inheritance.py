@@ -22,45 +22,61 @@ EffectiveMap = dict[int, list[StereotypeApplication]]
 
 
 def effective_stereotypes(model: Model) -> EffectiveMap:
-    """Direct plus inherited applications for every element."""
+    """Direct plus inherited applications for every element.
+
+    A depth-first walk with an explicit stack, so the depth of a
+    specialization chain is not bounded by the interpreter's recursion
+    limit. Each element is computed when the walk leaves it, after every
+    inheritance target it reaches; a target still on the stack (a cycle)
+    contributes only its direct applications.
+    """
     memo: EffectiveMap = {}
-    visiting: set[int] = set()
-
-    def compute(eid: int) -> list[StereotypeApplication]:
-        cached = memo.get(eid)
-        if cached is not None:
-            return cached
-        if eid in visiting:
-            return list(model.elements[eid].annotations)
-        visiting.add(eid)
-        try:
-            direct = list(model.elements[eid].annotations)
-            direct_kinds = {app.stereotype for app in direct}
-            combined: dict[tuple[str, int], StereotypeApplication] = {}
-            for app in direct:
-                combined[(app.stereotype, eid)] = app
-            for edge in model.out_edges(eid):
-                if edge.kind not in INHERITANCE_KINDS:
-                    continue
-                for inherited in compute(edge.target):
-                    if (edge.kind is EdgeKind.REDEFINITION
-                            and inherited.stereotype in direct_kinds):
-                        continue
-                    key = (inherited.stereotype, inherited.provenance.origin)
-                    carried = _carry(inherited, edge.kind, edge.target, eid)
-                    existing = combined.get(key)
-                    if existing is None or len(carried.provenance.path) < len(
-                            existing.provenance.path):
-                        combined[key] = carried
-            result = _ordered(combined, eid)
-            memo[eid] = result
-            return result
-        finally:
-            visiting.discard(eid)
-
+    on_stack: set[int] = set()
     for element in model.elements:
-        compute(element.id)
+        if element.id in memo:
+            continue
+        on_stack.add(element.id)
+        stack = [(element.id, iter(model.out_edges(element.id)))]
+        while stack:
+            eid, edges = stack[-1]
+            for edge in edges:
+                target = edge.target
+                if (edge.kind in INHERITANCE_KINDS and target not in memo
+                        and target not in on_stack):
+                    on_stack.add(target)
+                    stack.append((target, iter(model.out_edges(target))))
+                    break
+            else:
+                stack.pop()
+                on_stack.discard(eid)
+                memo[eid] = _combine(model, eid, memo)
     return memo
+
+
+def _combine(model: Model, eid: int,
+             memo: EffectiveMap) -> list[StereotypeApplication]:
+    direct = model.elements[eid].annotations
+    direct_kinds = {app.stereotype for app in direct}
+    combined: dict[tuple[str, int], StereotypeApplication] = {}
+    for app in direct:
+        combined[(app.stereotype, eid)] = app
+    for edge in model.out_edges(eid):
+        if edge.kind not in INHERITANCE_KINDS:
+            continue
+        inherited_apps = memo.get(edge.target)
+        if inherited_apps is None:  # still on the stack: a cycle
+            inherited_apps = model.elements[edge.target].annotations
+        for inherited in inherited_apps:
+            if (edge.kind is EdgeKind.REDEFINITION
+                    and inherited.stereotype in direct_kinds):
+                continue
+            key = (inherited.stereotype, inherited.provenance.origin)
+            carried = _carry(inherited, edge.kind, edge.target, eid)
+            existing = combined.get(key)
+            if existing is None or len(carried.provenance.path) < len(
+                    existing.provenance.path):
+                combined[key] = carried
+    return _ordered(combined, eid)
 
 
 def _carry(app: StereotypeApplication, edge_kind: EdgeKind, via: int,

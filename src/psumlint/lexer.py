@@ -1,5 +1,10 @@
 """Tokenizer for the textual model notation.
 
+One compiled master regular expression with a named group per token class
+matches one token at each position (the "writing a tokenizer" idiom of the
+``re`` module); the lexer dispatches on the name of the group that matched.
+Only the annotation state below is kept in Python.
+
 The token stream is lossless: joining token texts with the skipped
 whitespace between them reproduces the input byte-for-byte. Comments are
 ordinary tokens (the parser treats them as trivia).
@@ -52,16 +57,33 @@ KEYWORDS = frozenset({
     "and", "or", "not", "true", "false",
 })
 
-# longest-match-first; ``>>`` and ``>`` are handled statefully below
-_OPERATORS = ["::>", ":>>", "::", ":>", "==", ">=", "<=", "=", ":", "<", ">", "&", "~", "*"]
-_PUNCTUATION = {";", "{", "}", "(", ")", ",", "."}
-
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT_BODY = re.compile(r"[A-Za-z0-9_]")
+# Alternatives are tried in order, so longer operators come first. The
+# delimited forms match up to their closer or, unclosed, to the end of the
+# line (of the file for block comments); ``run`` tells the two apart.
+# ``angle`` is split statefully in ``run``: inside an annotation each ``<``
+# and ``>`` is its own token unless ``>>`` closes the annotation.
+_TOKEN = re.compile(r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>[;{}(),.])
+  | (?P<op>::>|:>>|::|:>|==|=|:|&|~|\*)
+  | (?P<angle><<|>>|[<>]=?)
+  | (?P<number>\d+(?:\.\d+)?)
+  | (?P<open>«)
+  | (?P<close>»)
+  | (?P<comment>//[^\n]*)
+  | (?P<block>/\*[\s\S]*?(?:\*/|\Z))
+  | (?P<string>"[^"\n]*"?)
+  | (?P<quoted>[`'][^'\n]*'?)
+  | (?P<bracket>\[[^\]\n]*\]?)
+  | (?P<stray>[\s\S])
+""", re.VERBOSE)
 _MULTIPLICITY = re.compile(r"^(\*|\d+|\d+\.\.(\d+|\*))$")
+_SIMPLE = {"punct": TokenKind.PUNCTUATION, "op": TokenKind.OPERATOR,
+           "comment": TokenKind.COMMENT}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -72,197 +94,88 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r})"
 
 
-def _normalize_unit(raw: str) -> str:
-    """Strip brackets, whitespace and any quoting characters around a unit."""
-    inner = raw.strip()
-    if inner.startswith("[") and inner.endswith("]"):
-        inner = inner[1:-1]
-    inner = inner.strip()
-    return inner.strip("`'\"").strip()
-
-
 class Lexer:
     def __init__(self, source: SourceFile):
         self.source = source
-        self.text = source.content
-        self.pos = 0
         self.tokens: list[Token] = []
         self.diagnostics: list[Diagnostic] = []
-        self.in_annotation = False
-        self.angle_depth = 0
-
-    def _span(self, start: int, end: int) -> Span:
-        return self.source.span(start, end)
-
-    def _emit(self, kind: TokenKind, start: int, end: int, value: str = "") -> None:
-        self.tokens.append(Token(kind, self.text[start:end], self._span(start, end), value))
 
     def _diag(self, code: str, start: int, end: int, message: str) -> None:
-        self.diagnostics.append(diagnostics.make(code, self._span(start, end), message))
+        self.diagnostics.append(diagnostics.make(code, Span(self.source, start, end), message))
 
-    def _line_end(self, pos: int) -> int:
-        nl = self.text.find("\n", pos)
-        return len(self.text) if nl < 0 else nl
+    def _delimited(self, start: int, end: int, closer: str, code: str, what: str) -> str:
+        """Text between the opener at ``start`` and its closer; P00x if unclosed."""
+        text = self.source.content
+        if text.endswith(closer, start + 1, end):
+            return text[start + 1:end - 1]
+        self._diag(code, start, end, f"{what} is never closed")
+        return text[start + 1:end]
 
     def run(self) -> tuple[list[Token], list[Diagnostic]]:
-        text = self.text
+        source = self.source
+        text = source.content
         n = len(text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch == "\n" and self.in_annotation:
-                # annotations do not span lines
-                self._diag("P005", self.pos, self.pos, "annotation not closed before end of line")
-                self.in_annotation = False
-                self.angle_depth = 0
-            if ch in " \t\r\n":
-                self.pos += 1
+        append = self.tokens.append
+        match = _TOKEN.match
+        pos, in_annotation, angle_depth = 0, False, 0
+        while pos < n:
+            m = match(text, pos)
+            group, end = m.lastgroup, m.end()
+            value = ""
+            if group == "ws":
+                newline = text.find("\n", pos, end) if in_annotation else -1
+                if newline >= 0:
+                    # annotations do not span lines
+                    self._diag("P005", newline, newline, "annotation not closed before end of line")
+                    in_annotation, angle_depth = False, 0
+                pos = end
                 continue
-            if ch == "«":
-                self._emit(TokenKind.ANNOTATION_OPEN, self.pos, self.pos + 1)
-                self.in_annotation, self.angle_depth = True, 0
-                self.pos += 1
-                continue
-            if ch == "»":
-                self._emit(TokenKind.ANNOTATION_CLOSE, self.pos, self.pos + 1)
-                self.in_annotation, self.angle_depth = False, 0
-                self.pos += 1
-                continue
-            if text.startswith("//", self.pos):
-                end = self._line_end(self.pos)
-                self._emit(TokenKind.COMMENT, self.pos, end)
-                self.pos = end
-                continue
-            if text.startswith("/*", self.pos):
-                close = text.find("*/", self.pos + 2)
-                if close < 0:
-                    self._diag("P004", self.pos, n, "block comment is never closed")
-                    self._emit(TokenKind.DOC_COMMENT, self.pos, n)
-                    self.pos = n
+            if group == "word":
+                value = text[pos:end]
+                kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENTIFIER
+            elif group in _SIMPLE:
+                kind = _SIMPLE[group]
+            elif group == "angle":
+                kind = TokenKind.OPERATOR
+                if in_annotation:
+                    if angle_depth == 0 and text.startswith(">>", pos):
+                        kind, in_annotation = TokenKind.ANNOTATION_CLOSE, False
+                    else:
+                        end = pos + 1
+                        angle_depth = angle_depth + 1 if text[pos] == "<" else max(0, angle_depth - 1)
+                elif text.startswith("<<", pos):
+                    kind, in_annotation, angle_depth = TokenKind.ANNOTATION_OPEN, True, 0
+                elif text.startswith(">>", pos):
+                    end = pos + 1
+            elif group == "number":
+                kind, value = TokenKind.NUMBER, text[pos:end]
+            elif group == "open" or group == "close":
+                kind = TokenKind.ANNOTATION_OPEN if group == "open" else TokenKind.ANNOTATION_CLOSE
+                in_annotation, angle_depth = group == "open", 0
+            elif group == "block":
+                kind = TokenKind.DOC_COMMENT
+                if not text.endswith("*/", pos + 2, end):
+                    self._diag("P004", pos, end, "block comment is never closed")
+            elif group == "string":
+                kind, value = TokenKind.STRING, self._delimited(pos, end, '"', "P003", "string")
+            elif group == "quoted":
+                kind = TokenKind.QUOTED_IDENTIFIER
+                value = self._delimited(pos, end, "'", "P006", "quoted name")
+            elif group == "bracket":
+                inner = self._delimited(pos, end, "]", "P007", "bracket").strip()
+                if text[end - 1] == "]" and _MULTIPLICITY.match(inner):
+                    kind, value = TokenKind.MULTIPLICITY_BRACKET, inner
                 else:
-                    self._emit(TokenKind.DOC_COMMENT, self.pos, close + 2)
-                    self.pos = close + 2
-                continue
-            if text.startswith("<<", self.pos) and not self.in_annotation:
-                self._emit(TokenKind.ANNOTATION_OPEN, self.pos, self.pos + 2)
-                self.in_annotation, self.angle_depth = True, 0
-                self.pos += 2
-                continue
-            if ch == '"':
-                self._lex_string()
-                continue
-            if ch == "`":
-                self._lex_quoted(opener="`", closer="'")
-                continue
-            if ch == "'":
-                self._lex_quoted(opener="'", closer="'")
-                continue
-            if ch == "[":
-                self._lex_bracket()
-                continue
-            if ch.isdigit():
-                self._lex_number()
-                continue
-            if _IDENT_START.match(ch):
-                self._lex_word()
-                continue
-            if self._lex_operator():
-                continue
-            self._diag("P008", self.pos, self.pos + 1, f"stray character {ch!r}")
-            self._emit(TokenKind.PUNCTUATION, self.pos, self.pos + 1)
-            self.pos += 1
-        if self.in_annotation:
+                    kind, value = TokenKind.UNIT_BRACKET, inner.strip("`'\"").strip()
+            else:
+                self._diag("P008", pos, end, f"stray character {text[pos]!r}")
+                kind = TokenKind.PUNCTUATION
+            append(Token(kind, text[pos:end], Span(source, pos, end), value))
+            pos = end
+        if in_annotation:
             self._diag("P005", n, n, "annotation not closed before end of file")
-        self.tokens.append(Token(TokenKind.EOF, "", self._span(n, n)))
+        append(Token(TokenKind.EOF, "", Span(source, n, n)))
         return self.tokens, self.diagnostics
-
-    def _lex_operator(self) -> bool:
-        text, pos = self.text, self.pos
-        if self.in_annotation:
-            # statefully disambiguate > / >> against the ASCII close marker
-            if text.startswith(">>", pos) and self.angle_depth == 0:
-                self._emit(TokenKind.ANNOTATION_CLOSE, pos, pos + 2)
-                self.in_annotation = False
-                self.pos = pos + 2
-                return True
-            if text[pos] == "<":
-                self.angle_depth += 1
-                self._emit(TokenKind.OPERATOR, pos, pos + 1)
-                self.pos = pos + 1
-                return True
-            if text[pos] == ">":
-                self.angle_depth = max(0, self.angle_depth - 1)
-                self._emit(TokenKind.OPERATOR, pos, pos + 1)
-                self.pos = pos + 1
-                return True
-        for op in _OPERATORS:
-            if text.startswith(op, pos):
-                self._emit(TokenKind.OPERATOR, pos, pos + len(op))
-                self.pos = pos + len(op)
-                return True
-        if text[pos] in _PUNCTUATION:
-            self._emit(TokenKind.PUNCTUATION, pos, pos + 1)
-            self.pos = pos + 1
-            return True
-        return False
-
-    def _lex_string(self) -> None:
-        start = self.pos
-        end = self.text.find('"', start + 1)
-        line_end = self._line_end(start)
-        if end < 0 or end > line_end:
-            self._diag("P003", start, line_end, "string is never closed")
-            self._emit(TokenKind.STRING, start, line_end, self.text[start + 1:line_end])
-            self.pos = line_end
-            return
-        self._emit(TokenKind.STRING, start, end + 1, self.text[start + 1:end])
-        self.pos = end + 1
-
-    def _lex_quoted(self, opener: str, closer: str) -> None:
-        start = self.pos
-        end = self.text.find(closer, start + 1)
-        line_end = self._line_end(start)
-        if end < 0 or end > line_end:
-            self._diag("P006", start, line_end, "quoted name is never closed")
-            self._emit(TokenKind.QUOTED_IDENTIFIER, start, line_end, self.text[start + 1:line_end])
-            self.pos = line_end
-            return
-        self._emit(TokenKind.QUOTED_IDENTIFIER, start, end + 1, self.text[start + 1:end])
-        self.pos = end + 1
-
-    def _lex_bracket(self) -> None:
-        start = self.pos
-        end = self.text.find("]", start + 1)
-        line_end = self._line_end(start)
-        if end < 0 or end > line_end:
-            self._diag("P007", start, line_end, "bracket is never closed")
-            self._emit(TokenKind.UNIT_BRACKET, start, line_end,
-                       _normalize_unit(self.text[start + 1:line_end]))
-            self.pos = line_end
-            return
-        inner = self.text[start + 1:end].strip()
-        if _MULTIPLICITY.match(inner):
-            self._emit(TokenKind.MULTIPLICITY_BRACKET, start, end + 1, inner)
-        else:
-            self._emit(TokenKind.UNIT_BRACKET, start, end + 1,
-                       _normalize_unit(self.text[start + 1:end]))
-        self.pos = end + 1
-
-    def _lex_number(self) -> None:
-        start = self.pos
-        m = re.match(r"\d+(\.\d+)?", self.text[start:])
-        end = start + m.end()
-        self._emit(TokenKind.NUMBER, start, end, self.text[start:end])
-        self.pos = end
-
-    def _lex_word(self) -> None:
-        start = self.pos
-        end = start + 1
-        while end < len(self.text) and _IDENT_BODY.match(self.text[end]):
-            end += 1
-        word = self.text[start:end]
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENTIFIER
-        self._emit(kind, start, end, word)
-        self.pos = end
 
 
 def tokenize(source: SourceFile) -> tuple[list[Token], list[Diagnostic]]:

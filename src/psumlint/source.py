@@ -1,8 +1,9 @@
-"""Source file handling: byte-offset bookkeeping and spans.
+"""Source file handling: character-offset bookkeeping and spans.
 
 Every token, syntax node, element and diagnostic carries a Span pointing
 back into a SourceFile, so downstream consumers can render file:line:column
-locations without re-scanning the input.
+locations without re-scanning the input. A span stores only its offsets;
+line and column are looked up in the file's line-start index when read.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ class SourceFile:
 
     def __post_init__(self) -> None:
         if not self.line_index:
-            index = [0]
-            for i, ch in enumerate(self.content):
-                if ch == "\n":
-                    index.append(i + 1)
+            index, find = [0], self.content.find
+            newline = find("\n")
+            while newline >= 0:
+                index.append(newline + 1)
+                newline = find("\n", newline + 1)
             self.line_index = index
 
     @classmethod
@@ -39,29 +41,35 @@ class SourceFile:
         return line + 1, offset - self.line_index[line] + 1
 
     def span(self, start: int, end: int) -> "Span":
-        line, col = self.line_col(start)
-        return Span(file=self, start=start, end=end, line=line, column=col)
+        return Span(self, start, end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Half-open [start, end) character range within one file."""
 
     file: SourceFile
     start: int
     end: int
-    line: int
-    column: int
 
     def __post_init__(self) -> None:
         assert 0 <= self.start <= self.end <= len(self.file.content)
+
+    @property
+    def line(self) -> int:
+        return self.file.line_col(self.start)[0]
+
+    @property
+    def column(self) -> int:
+        return self.file.line_col(self.start)[1]
 
     @property
     def text(self) -> str:
         return self.file.content[self.start:self.end]
 
     def location(self) -> str:
-        return f"{self.file.path}:{self.line}:{self.column}"
+        line, column = self.file.line_col(self.start)
+        return f"{self.file.path}:{line}:{column}"
 
     def __repr__(self) -> str:  # keep reprs short in test failures
         return f"Span({self.location()}+{self.end - self.start})"

@@ -184,39 +184,39 @@ class AcceptClause:
 
 
 class _Cursor:
-    """Token cursor that skips comment trivia, stashing it for attachment."""
+    """Token cursor that skips comment trivia, stashing it for attachment.
+
+    The significant tokens are split out once, with the comments lexed
+    before each one, so peeking and advancing are index arithmetic.
+    """
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens: list[Token] = []
+        self.trivia_before: dict[int, list[Token]] = {}
+        comments: list[Token] = []
+        for tok in tokens:
+            if tok.kind is TokenKind.COMMENT or tok.kind is TokenKind.DOC_COMMENT:
+                comments.append(tok)
+            else:
+                if comments:
+                    self.trivia_before[len(self.tokens)] = comments
+                    comments = []
+                self.tokens.append(tok)
         self.index = 0
-        self.pending_trivia: list[Token] = []
-        self._skip_trivia()
-
-    def _skip_trivia(self) -> None:
-        while self.index < len(self.tokens) and self.tokens[self.index].kind in (
-                TokenKind.COMMENT, TokenKind.DOC_COMMENT):
-            self.pending_trivia.append(self.tokens[self.index])
-            self.index += 1
+        self.pending_trivia: list[Token] = list(self.trivia_before.get(0, ()))
 
     def peek(self, ahead: int = 0) -> Token:
-        i, seen = self.index, 0
-        while i < len(self.tokens):
-            tok = self.tokens[i]
-            if tok.kind in (TokenKind.COMMENT, TokenKind.DOC_COMMENT):
-                i += 1
-                continue
-            if seen == ahead:
-                return tok
-            seen += 1
-            i += 1
-        return self.tokens[-1]
+        try:
+            return self.tokens[self.index + ahead]
+        except IndexError:
+            return self.tokens[-1]
 
     def advance(self) -> Token:
-        if self.index >= len(self.tokens):
-            return self.tokens[-1]
+        """Consume one token; at the final EOF token the cursor stays put."""
         tok = self.tokens[self.index]
-        self.index += 1
-        self._skip_trivia()
+        if self.index + 1 < len(self.tokens):
+            self.index += 1
+            self.pending_trivia.extend(self.trivia_before.get(self.index, ()))
         return tok
 
     def take_trivia(self) -> list[Token]:

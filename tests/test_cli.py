@@ -40,6 +40,14 @@ def test_check_validation_error_exits_one(tmp_path, capsys):
     assert "V003" in out
 
 
+def test_check_non_decimal_digit_is_a_diagnostic(tmp_path, capsys):
+    digits = tmp_path / "digits.sysml"
+    digits.write_text("package P { attribute x = 2²; }\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "check", "--format", "json", str(digits))
+    assert code == 2
+    assert "P008" in [row["code"] for row in json.loads(out)]
+
+
 def test_check_warnings_as_errors(tmp_path, capsys):
     warny = tmp_path / "warn.sysml"
     warny.write_text(fixture_text("acc.sysml").replace(

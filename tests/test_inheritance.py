@@ -165,3 +165,23 @@ def test_inherited_provenance_paths_are_real_edge_chains(frigate, interaction):
                 assert cursor == app.provenance.origin
                 origin_apps = model.elements[app.provenance.origin].annotations
                 assert any(a.stereotype == app.stereotype for a in origin_apps)
+
+
+def test_deep_reverse_chain_needs_no_recursion():
+    # declared special-first, so each definition's general is still unbuilt
+    depth = 1500
+    text = ("package P { "
+            + "".join(f"part def D{i} specializes D{i + 1}; " for i in range(depth))
+            + f"«IndeterminacySource<nd>» part def D{depth}; }}")
+    analysis = analyze_text(text)
+    model = analysis.model
+    top = model.resolve_qualified("P::D0")
+    [app] = [a for a in analysis.effective[top]
+             if a.stereotype == "IndeterminacySource"]
+    assert len(app.provenance.path) == depth
+    assert app.provenance.origin == model.resolve_qualified(f"P::D{depth}")
+    assert analysis.graph is not None
+    assert analysis.findings is not None
+    for report in (analysis.stats, analysis.derived, analysis.topics,
+                   analysis.risks, analysis.suggestions):
+        report()

@@ -131,6 +131,16 @@ def test_stray_character():
     assert [d.code for d in diags] == ["P008"]
 
 
+def test_non_decimal_digits_are_stray_characters():
+    # '²'.isdigit() holds but \d does not match it; '٣' is a decimal digit
+    tokens, diags = lex("x = 2²; y = ٣٤;")
+    assert [(d.code, d.span.start, d.message) for d in diags] == [
+        ("P008", 5, "stray character '²'")]
+    assert kinds_and_texts(tokens)[2:4] == [
+        (TokenKind.NUMBER, "2"), (TokenKind.PUNCTUATION, "²")]
+    assert (TokenKind.NUMBER, "٣٤") in kinds_and_texts(tokens)
+
+
 def test_comments_are_tokens():
     tokens, _ = lex("// line\n/* block */ part p;")
     assert tokens[0].kind is TokenKind.COMMENT
@@ -150,7 +160,7 @@ def test_fixture_losslessness():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=string.printable + "«»`", max_size=120))
+@given(st.text(alphabet=string.printable + "«»`²٣é\x0b\u00a0", max_size=120))
 def test_tokenizer_lossless_and_total_on_arbitrary_text(text):
     source = SourceFile(path="<fuzz>", content=text)
     tokens, _ = tokenize(source)
