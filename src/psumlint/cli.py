@@ -172,12 +172,13 @@ def run(argv: list[str]) -> int:
         return _finding_exit(analysis)
 
     if args.command == "risks":
+        risks = analysis.risks()
         roots: dict[int, list[int]] = {}
-        for risk in analysis.risks():
+        for risk in risks:
             if analysis.graph.has_node(risk.target):
                 roots[risk.element] = list(
                     backward_trace(analysis.graph, risk.target).roots)
-        sys.stdout.write(reporting.render_risks(analysis.risks(), roots,
+        sys.stdout.write(reporting.render_risks(risks, roots,
                                                 analysis.model, args.format))
         return _finding_exit(analysis)
 

@@ -127,7 +127,6 @@ class EdgeKind(enum.Enum):
     REDEFINITION = "Redefinition"
     FEATURE_TYPING = "FeatureTyping"
     REFERENCE_SUBSETTING = "ReferenceSubsetting"
-    CONJUGATION = "Conjugation"
 
 
 #: edge kinds along which members and stereotypes are inherited

@@ -15,7 +15,7 @@ Propagates only in the effect-chain view. Risk nodes are sinks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .inheritance import (EffectiveMap, effective_specifications,
@@ -65,8 +65,11 @@ class PropagationGraph:
     roles: dict[int, set[NodeRole]] = field(default_factory=dict)
     edges: list[PropagationEdge] = field(default_factory=list)
     risks: list[RiskAnnotation] = field(default_factory=list)
-    _out: dict[int, list[PropagationEdge]] = field(default_factory=dict)
-    _in: dict[int, list[PropagationEdge]] = field(default_factory=dict)
+    #: (source, target, kind) -> position of that edge in ``edges``
+    _index: dict[tuple[int, int, PropagationEdgeKind], int] = field(
+        default_factory=dict)
+    _out: dict[int, list[int]] = field(default_factory=dict)
+    _in: dict[int, list[int]] = field(default_factory=dict)
 
     def nodes(self) -> list[int]:
         return sorted(self.roles)
@@ -79,32 +82,25 @@ class PropagationGraph:
 
     def add_edge(self, source: int, target: int, kind: PropagationEdgeKind,
                  span: Optional[Span]) -> None:
-        for i, edge in enumerate(self.edges):
-            if (edge.source, edge.target, edge.kind) == (source, target, kind):
-                if span is not None:
-                    merged = PropagationEdge(source, target, kind,
-                                             edge.provenance + (span,))
-                    self.edges[i] = merged
-                    self._reindex()
-                return
-        edge = PropagationEdge(source, target, kind,
-                               (span,) if span is not None else ())
-        self.edges.append(edge)
-        self._out.setdefault(source, []).append(edge)
-        self._in.setdefault(target, []).append(edge)
-
-    def _reindex(self) -> None:
-        self._out.clear()
-        self._in.clear()
-        for edge in self.edges:
-            self._out.setdefault(edge.source, []).append(edge)
-            self._in.setdefault(edge.target, []).append(edge)
+        """Add an edge, or append ``span`` to the provenance of the same one."""
+        spans = (span,) if span is not None else ()
+        key = (source, target, kind)
+        position = self._index.get(key)
+        if position is None:
+            position = self._index[key] = len(self.edges)
+            self.edges.append(PropagationEdge(source, target, kind, spans))
+            self._out.setdefault(source, []).append(position)
+            self._in.setdefault(target, []).append(position)
+        elif spans:
+            edge = self.edges[position]
+            self.edges[position] = PropagationEdge(
+                source, target, kind, edge.provenance + spans)
 
     def out_edges(self, eid: int) -> list[PropagationEdge]:
-        return self._out.get(eid, [])
+        return [self.edges[i] for i in self._out.get(eid, ())]
 
     def in_edges(self, eid: int) -> list[PropagationEdge]:
-        return self._in.get(eid, [])
+        return [self.edges[i] for i in self._in.get(eid, ())]
 
 
 class TraceStartError(ValueError):
@@ -126,15 +122,12 @@ def build_propagation_graph(model: Model,
             graph.add_role(eid, NodeRole.SOURCE)
         if has_effective(effective, eid, INDETERMINACY_SPECIFICATION):
             graph.add_role(eid, NodeRole.SPECIFICATION)
-        if has_effective(effective, eid, UNCERTAINTY):
+        if has_effective(effective, eid, UNCERTAINTY, EFFECT):
+            # an effect is also an uncertainty node
             graph.add_role(eid, NodeRole.UNCERTAINTY)
             uncertain_elements.append(eid)
         if has_effective(effective, eid, EFFECT):
-            # an effect is also an uncertainty node
             graph.add_role(eid, NodeRole.EFFECT)
-            graph.add_role(eid, NodeRole.UNCERTAINTY)
-            if eid not in uncertain_elements:
-                uncertain_elements.append(eid)
         if any(app.stereotype == UNCERTAINTY_TOPIC
                for app in element.annotations):
             # inherited topic-ness (e.g. a payload typed by a topic item
@@ -185,9 +178,16 @@ def build_propagation_graph(model: Model,
 
 @dataclass(frozen=True)
 class TraceResult:
+    """Nodes reached from ``start``, each with its witness path.
+
+    ``roots`` is set by backward traces only: the reached sources and
+    specifications.
+    """
+
     start: int
     reached: tuple[int, ...]
     paths: dict[int, tuple[PropagationEdge, ...]]
+    roots: Optional[tuple[int, ...]] = None
 
 
 def _walk(graph: PropagationGraph, start: int, kinds: frozenset,
@@ -225,23 +225,14 @@ def forward_trace(graph: PropagationGraph, start: int,
     return _walk(graph, start, kinds, reverse=False)
 
 
-@dataclass(frozen=True)
-class BackwardResult:
-    failure: int
-    reached: tuple[int, ...]
-    roots: tuple[int, ...]
-    paths: dict[int, tuple[PropagationEdge, ...]]
-
-
 def backward_trace(graph: PropagationGraph, failure: int,
-                   effects_only: bool = False) -> BackwardResult:
+                   effects_only: bool = False) -> TraceResult:
     kinds = EFFECT_CHAIN_KINDS if effects_only else TRACE_KINDS
     walk = _walk(graph, failure, kinds, reverse=True)
     roots = tuple(
         node for node in walk.reached
         if graph.roles.get(node, set()) & {NodeRole.SOURCE, NodeRole.SPECIFICATION})
-    return BackwardResult(failure=failure, reached=walk.reached, roots=roots,
-                          paths=walk.paths)
+    return replace(walk, roots=roots)
 
 
 def reachable_set(graph: PropagationGraph, start: int, kinds: frozenset,
@@ -253,54 +244,55 @@ def reachable_set(graph: PropagationGraph, start: int, kinds: frozenset,
 # -- cycles ----------------------------------------------------------------------
 
 def detect_cycles(graph: PropagationGraph) -> list[list[int]]:
-    """All elementary cycles over Propagates edges (Johnson's algorithm)."""
+    """All elementary cycles over Propagates edges (Johnson's algorithm).
+
+    The search keeps its own stack of frames, so chain length is not bound
+    by the interpreter's recursion limit.
+    """
     adjacency: dict[int, list[int]] = {}
     for edge in graph.edges:
         if edge.kind is PropagationEdgeKind.PROPAGATES:
             adjacency.setdefault(edge.source, []).append(edge.target)
     for targets in adjacency.values():
         targets.sort()
-    nodes = sorted(set(adjacency)
-                   | {t for targets in adjacency.values() for t in targets})
     cycles: list[list[int]] = []
-    blocked: set[int] = set()
-    block_map: dict[int, set[int]] = {}
-    stack: list[int] = []
 
     def unblock(node: int) -> None:
-        blocked.discard(node)
-        for other in block_map.pop(node, set()):
-            if other in blocked:
-                unblock(other)
+        pending = [node]
+        while pending:
+            node = pending.pop()
+            blocked.discard(node)
+            pending.extend(other for other in block_map.pop(node, ())
+                           if other in blocked)
 
-    def circuit(node: int, root: int, component: set[int]) -> bool:
-        found = False
-        stack.append(node)
-        blocked.add(node)
-        for peer in adjacency.get(node, ()):
-            if peer not in component:
-                continue
-            if peer == root:
-                cycles.append(list(stack))
-                found = True
-            elif peer not in blocked:
-                if circuit(peer, root, component):
-                    found = True
-        if found:
-            unblock(node)
-        else:
-            for peer in adjacency.get(node, ()):
-                if peer in component:
-                    block_map.setdefault(peer, set()).add(node)
-        stack.pop()
-        return found
-
-    for root in nodes:
-        component = {n for n in nodes if n >= root}
-        blocked.clear()
-        block_map.clear()
-        if root in adjacency:
-            circuit(root, root, component)
+    for root in sorted(adjacency):
+        # each search stays inside the nodes >= root
+        blocked: set[int] = {root}
+        block_map: dict[int, set[int]] = {}
+        frames = [[root, iter(adjacency[root]), False]]  # node, peers, found
+        while frames:
+            frame = frames[-1]
+            node, peers = frame[0], frame[1]
+            for peer in peers:
+                if peer < root:
+                    continue
+                if peer == root:
+                    cycles.append([f[0] for f in frames])
+                    frame[2] = True
+                elif peer not in blocked:
+                    blocked.add(peer)
+                    frames.append([peer, iter(adjacency.get(peer, ())), False])
+                    break
+            else:
+                frames.pop()
+                if frame[2]:
+                    unblock(node)
+                    if frames:
+                        frames[-1][2] = True
+                else:
+                    for peer in adjacency.get(node, ()):
+                        if peer >= root:
+                            block_map.setdefault(peer, set()).add(node)
     return cycles
 
 

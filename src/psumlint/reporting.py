@@ -19,7 +19,7 @@ from .profile import (BELIEF_STATEMENT, EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                       UNCERTAINTY_TOPIC, RiskAnnotation)
 from .propagation import (NodeRole, PropagationEdgeKind, PropagationGraph,
-                          SpecSuggestion, TopicRecord)
+                          SpecSuggestion, TopicRecord, TraceResult)
 
 STEREOTYPE_ORDER = (BELIEF_STATEMENT, INDETERMINACY_SOURCE,
                     INDETERMINACY_SPECIFICATION, UNCERTAINTY,
@@ -416,12 +416,11 @@ def render_suggestions(suggestions: list[SpecSuggestion], model: Model,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_trace(result, graph: PropagationGraph, fmt: str) -> str:
+def render_trace(result: TraceResult, graph: PropagationGraph,
+                 fmt: str) -> str:
     model = graph.model
     labels = graph_node_labels(graph)
-    start = getattr(result, "start", None)
-    if start is None:
-        start = result.failure
+    start = result.start
     reached = [n for n in result.reached if n != start]
 
     def hop_sequence(node: int) -> list[str]:
@@ -439,7 +438,7 @@ def render_trace(result, graph: PropagationGraph, fmt: str) -> str:
                       "kind": e.kind.value} for e in result.paths[node]],
         } for node in reached],
     }
-    if hasattr(result, "roots"):
+    if result.roots is not None:
         payload["roots"] = [model.elements[r].display_name()
                             for r in result.roots]
     if fmt == "json":

@@ -63,10 +63,6 @@ class Value:
     path: Optional[NamePath] = None
     string: Optional[str] = None
 
-    @property
-    def is_percentage(self) -> bool:
-        return self.unit == "%"
-
 
 @dataclass(frozen=True)
 class AnnotationEntry:

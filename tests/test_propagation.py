@@ -133,6 +133,27 @@ def test_synthetic_two_node_cycle():
     assert set(result.reached) == {a, b}
 
 
+def _effect_chain(length, ring):
+    parts = []
+    for i in range(length):
+        target = (i + 1) % length if ring else i + 1
+        effect = f"«Effect» ref ::> u{target}; " if ring or target < length else ""
+        parts.append(f"«Uncertainty<ocr, epi, subj>» part u{i} {{ {effect}}}")
+    return analyze_text("package P {\n" + "\n".join(parts) + "\n}\n")
+
+
+def test_long_effect_chain_needs_no_recursion():
+    analysis = _effect_chain(1100, ring=False)
+    assert len(analysis.graph.edges) == 1099
+    assert detect_cycles(analysis.graph) == []
+
+
+def test_long_effect_ring_is_one_cycle():
+    analysis = _effect_chain(1100, ring=True)
+    ring = [analysis.model.resolve_qualified(f"P::u{i}") for i in range(1100)]
+    assert detect_cycles(analysis.graph) == [ring]
+
+
 def test_empty_graph_has_no_cycles():
     analysis = analyze_text("package P { }")
     assert detect_cycles(analysis.graph) == []
@@ -280,3 +301,26 @@ def test_every_edge_has_provenance():
         graph = analyze_fixture(name).graph
         for edge in graph.edges:
             assert edge.provenance, edge
+
+
+def test_repeated_reference_merges_provenance_into_one_edge():
+    analysis = analyze_text(
+        "package P {\n"
+        "    «IndeterminacySource<nd>» part def S {\n"
+        "        «IndeterminacySpecification» constraint c { true }\n"
+        "    }\n"
+        "    part s : S;\n"
+        "    «Uncertainty<ocr, epi, subj>» part u {\n"
+        "        «IndeterminacySpecification» ref ::> s.c;\n"
+        "        «IndeterminacySpecification» ref ::> s.c;\n"
+        "    }\n"
+        "}\n")
+    graph = analysis.graph
+    c, u = rq(analysis, "P::S::c"), rq(analysis, "P::u")
+    causes = [e for e in graph.edges
+              if (e.source, e.target, e.kind)
+              == (c, u, PropagationEdgeKind.CAUSES)]
+    assert len(causes) == 1
+    assert [span.line for span in causes[0].provenance] == [7, 8]
+    assert graph.out_edges(c) == causes
+    assert graph.in_edges(u) == causes
