@@ -8,6 +8,7 @@ bad qualified name).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Optional
@@ -172,7 +173,7 @@ def run(argv: list[str]) -> int:
         return _finding_exit(analysis)
 
     if args.command == "risks":
-        risks = analysis.risks()
+        risks = analysis.graph.risks
         roots: dict[int, list[int]] = {}
         for risk in risks:
             if analysis.graph.has_node(risk.target):
@@ -196,6 +197,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # The analysis builds no reference cycles, so in a one-shot process the
+    # cyclic collector only costs time; run() leaves it to its caller.
+    gc.disable()
     raise SystemExit(run(sys.argv[1:]))
 
 

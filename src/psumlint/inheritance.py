@@ -13,6 +13,8 @@ fields merge field-wise with the nearer application winning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 from .model import EdgeKind, INHERITANCE_KINDS, Model
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
@@ -36,15 +38,13 @@ def effective_stereotypes(model: Model) -> EffectiveMap:
         if element.id in memo:
             continue
         on_stack.add(element.id)
-        stack = [(element.id, iter(model.out_edges(element.id)))]
+        stack = [(element.id, iter(model.parents(element.id)))]
         while stack:
-            eid, edges = stack[-1]
-            for edge in edges:
-                target = edge.target
-                if (edge.kind in INHERITANCE_KINDS and target not in memo
-                        and target not in on_stack):
+            eid, parents = stack[-1]
+            for target in parents:
+                if target not in memo and target not in on_stack:
                     on_stack.add(target)
-                    stack.append((target, iter(model.out_edges(target))))
+                    stack.append((target, iter(model.parents(target))))
                     break
             else:
                 stack.pop()
@@ -66,29 +66,29 @@ def _combine(model: Model, eid: int,
         inherited_apps = memo.get(edge.target)
         if inherited_apps is None:  # still on the stack: a cycle
             inherited_apps = model.elements[edge.target].annotations
+        redefines = edge.kind is EdgeKind.REDEFINITION
+        hop = (edge.kind, edge.target)
         for inherited in inherited_apps:
-            if (edge.kind is EdgeKind.REDEFINITION
-                    and inherited.stereotype in direct_kinds):
+            if redefines and inherited.stereotype in direct_kinds:
                 continue
             key = (inherited.stereotype, inherited.provenance.origin)
-            carried = _carry(inherited, edge.kind, edge.target, eid)
             existing = combined.get(key)
-            if existing is None or len(carried.provenance.path) < len(
-                    existing.provenance.path):
-                combined[key] = carried
+            if (existing is None or inherited.provenance.depth + 1
+                    < existing.provenance.depth):
+                combined[key] = _carry(inherited, hop, eid)
     return _ordered(combined, eid)
 
 
-def _carry(app: StereotypeApplication, edge_kind: EdgeKind, via: int,
+def _carry(app: StereotypeApplication, hop: tuple[EdgeKind, int],
            onto: int) -> StereotypeApplication:
+    """``app`` one hop further: its provenance gains one link, not a copy."""
+    provenance = app.provenance
     return StereotypeApplication(
         stereotype=app.stereotype,
         element=onto,
-        provenance=Provenance(
-            origin=app.provenance.origin,
-            span=app.provenance.span,
-            path=((edge_kind, via),) + app.provenance.path,
-        ),
+        provenance=Provenance(origin=provenance.origin, span=provenance.span,
+                              hop=hop, rest=provenance,
+                              depth=provenance.depth + 1),
         span=app.span,
         characterization=app.characterization,
         nature=app.nature,
@@ -103,7 +103,7 @@ def _ordered(combined: dict[tuple[str, int], StereotypeApplication],
              eid: int) -> list[StereotypeApplication]:
     return sorted(combined.values(),
                   key=lambda app: (0 if app.is_direct else 1,
-                                   len(app.provenance.path),
+                                   app.provenance.depth,
                                    app.provenance.origin,
                                    app.stereotype))
 
@@ -118,22 +118,46 @@ def effective_characterization(effective: EffectiveMap, eid: int):
             if app.stereotype in (UNCERTAINTY, EFFECT) and app.characterization]
     if not apps:
         return None
-    apps.sort(key=lambda app: len(app.provenance.path), reverse=True)
+    apps.sort(key=lambda app: app.provenance.depth, reverse=True)
     merged = apps[0].characterization
     for app in apps[1:]:
         merged = merged.merged_under(app.characterization)
     return merged
 
 
-def effective_specifications(model: Model, effective: EffectiveMap,
-                             eid: int) -> list[int]:
-    """Specification constraints owned by an element or its closure."""
-    result: list[int] = []
-    for scope in (eid, *model.specialization_closure(eid)):
-        for child_id in model.elements[scope].owned:
-            if has_effective(effective, child_id, INDETERMINACY_SPECIFICATION):
-                result.append(child_id)
-    return result
+def effective_specifications(model: Model, effective: EffectiveMap, eid: int,
+                             memo: Optional[dict[int, list[int]]] = None
+                             ) -> list[int]:
+    """Specification constraints owned by an element or its closure.
+
+    A single-parent element's list is its own constraints followed by its
+    parent's list, as its closure is the parent followed by the parent's
+    closure. ``memo`` shares the composed lists across calls over one model
+    and effective map; the returned list belongs to it.
+    """
+    if memo is None:
+        memo = {}
+    chain: list[int] = []
+    node = eid
+    while node not in memo:
+        parents = model.parents(node)
+        if len(parents) != 1:
+            memo[node] = _owned_specifications(
+                model, effective, (node, *model.specialization_closure(node)))
+            break
+        chain.append(node)
+        node = parents[0]
+    specs = memo[node]
+    for child in reversed(chain):
+        specs = memo[child] = _owned_specifications(
+            model, effective, (child,)) + specs
+    return specs
+
+
+def _owned_specifications(model: Model, effective: EffectiveMap,
+                          scopes: tuple[int, ...]) -> list[int]:
+    return [child for scope in scopes for child in model.elements[scope].owned
+            if has_effective(effective, child, INDETERMINACY_SPECIFICATION)]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -211,7 +211,8 @@ class Model:
     ``build_model`` creates it when interning ends and resolves through it.
     While relationships resolve, ``_resolve_on_demand`` resolves each element
     a closure walks through, and nothing is cached: closures still grow and
-    still hold edges that cycle removal may drop. ``freeze`` starts the cache.
+    still hold edges that cycle removal may drop. ``freeze`` indexes each
+    element's inheritance targets in ``_parents`` and starts the cache.
     """
 
     files: tuple[SourceFile, ...]
@@ -227,17 +228,47 @@ class Model:
     _direct: dict[int, dict[str, int]] = field(default_factory=dict)
     _root_scope: dict[str, int] = field(default_factory=dict)
     _out: dict[int, Sequence[SpecializationEdge]] = field(default_factory=dict)
+    #: element -> its distinct inheritance targets, in edge order; set by freeze
+    _parents: dict[int, tuple[int, ...]] = field(default_factory=dict)
     _closure_cache: Optional[dict[int, tuple[int, ...]]] = None
     _resolve_on_demand: Optional[Callable[[int], None]] = None
 
     def out_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         return self._out.get(eid, ())
 
+    def parents(self, eid: int) -> tuple[int, ...]:
+        """Distinct targets of an element's inheritance edges, in edge
+        order; empty until ``freeze``."""
+        return self._parents.get(eid, ())
+
     def specialization_closure(self, eid: int) -> tuple[int, ...]:
-        """Transitive specialization targets, nearest first, self excluded."""
+        """Transitive specialization targets, nearest first, self excluded.
+
+        After ``freeze`` the edges are acyclic, so the closure of an element
+        with exactly one parent ``p`` is ``(p,) + closure(p)``. A call walks
+        down such single-parent links to an element whose closure is cached
+        or has to be searched (no parent, or several), searches only that
+        one breadth-first, and caches every closure on the way back up.
+        """
         cache = self._closure_cache
-        if cache is not None and eid in cache:
-            return cache[eid]
+        if cache is None:
+            return self._breadth_first(eid)
+        chain: list[int] = []
+        node = eid
+        while node not in cache:
+            parents = self.parents(node)
+            if len(parents) != 1:
+                cache[node] = self._breadth_first(node)
+                break
+            chain.append(node)
+            node = parents[0]
+        closure = cache[node]
+        for child in reversed(chain):
+            closure = cache[child] = (node,) + closure
+            node = child
+        return closure
+
+    def _breadth_first(self, eid: int) -> tuple[int, ...]:
         order: list[int] = []
         seen = {eid}
         frontier = [eid]
@@ -252,10 +283,7 @@ class Model:
                         order.append(edge.target)
                         nxt.append(edge.target)
             frontier = nxt
-        result = tuple(order)
-        if cache is not None:
-            cache[eid] = result
-        return result
+        return tuple(order)
 
     def metaclass_category(self, eid: int) -> MetaclassCategory:
         return _CATEGORY_BY_KIND[self.elements[eid].kind]
@@ -328,6 +356,49 @@ class Model:
 
 def metaclass_category_of_kind(kind: ElementKind) -> MetaclassCategory:
     return _CATEGORY_BY_KIND[kind]
+
+
+def strongly_connected(successors: Mapping[int, Iterable[int]]) -> dict[int, int]:
+    """Tarjan's strongly connected components, with an explicit stack.
+
+    Maps every node (each key of ``successors`` and each node they point
+    to) to the number of its component. Components are numbered in the
+    order they complete, so each one is numbered before any component
+    that reaches it.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    component: dict[int, int] = {}
+    open_nodes: list[int] = []
+    count = 0
+    for start in successors:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        open_nodes.append(start)
+        frames = [(start, iter(successors.get(start, ())))]
+        while frames:
+            node, peers = frames[-1]
+            for peer in peers:
+                if peer not in index:
+                    index[peer] = low[peer] = len(index)
+                    open_nodes.append(peer)
+                    frames.append((peer, iter(successors.get(peer, ()))))
+                    break
+                if peer not in component:  # still open: on the stack
+                    low[node] = min(low[node], index[peer])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    member = None
+                    while member != node:
+                        member = open_nodes.pop()
+                        component[member] = count
+                    count += 1
+    return component
 
 
 # -- prelude -----------------------------------------------------------------
@@ -577,8 +648,21 @@ class _Builder:
     # ---- acyclicity ----------------------------------------------------------
 
     def remove_cycles(self) -> None:
+        """Drop, in declaration order, each inheritance edge that would close
+        a cycle over the edges kept before it (R003).
+
+        Every node of a cycle lies in one strongly connected component of
+        the inheritance edges, so only an edge inside a component is
+        searched, and the search stays inside that component.
+        """
+        successors: dict[int, list[int]] = {}
+        for edge in self.edges:
+            if edge.kind in INHERITANCE_KINDS:
+                successors.setdefault(edge.source, []).append(edge.target)
+        component = strongly_connected(successors)
         kept: list[SpecializationEdge] = []
-        adjacency: dict[int, list[SpecializationEdge]] = {}
+        # kept inheritance edges inside a component, source -> targets
+        inside: dict[int, list[int]] = {}
 
         def would_cycle(edge: SpecializationEdge) -> bool:
             # is edge.source reachable from edge.target over kept edges?
@@ -588,25 +672,23 @@ class _Builder:
                 node = stack.pop()
                 if node == edge.source:
                     return True
-                if node in seen:
-                    continue
-                seen.add(node)
-                for out in adjacency.get(node, ()):
-                    stack.append(out.target)
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(inside.get(node, ()))
             return False
 
         for edge in self.edges:
-            if edge.kind not in INHERITANCE_KINDS:
-                kept.append(edge)
-                continue
-            if edge.source == edge.target or would_cycle(edge):
-                self.diagnostics.append(diagnostics.make(
-                    "R003", edge.span,
-                    f"specialization cycle through "
-                    f"{self.elements[edge.source].display_name()}; edge dropped"))
-                continue
+            if (edge.kind in INHERITANCE_KINDS
+                    and component[edge.source] == component[edge.target]):
+                if edge.source == edge.target or would_cycle(edge):
+                    self.diagnostics.append(diagnostics.make(
+                        "R003", edge.span,
+                        f"specialization cycle through "
+                        f"{self.elements[edge.source].display_name()}; "
+                        f"edge dropped"))
+                    continue
+                inside.setdefault(edge.source, []).append(edge.target)
             kept.append(edge)
-            adjacency.setdefault(edge.source, []).append(edge)
         self.edges = kept
 
     # ---- finish ---------------------------------------------------------------
@@ -614,11 +696,15 @@ class _Builder:
     def freeze(self) -> Model:
         """Install the acyclic edge set and switch the model to caching."""
         out: dict[int, list[SpecializationEdge]] = {}
+        parents: dict[int, dict[int, None]] = {}
         for edge in self.edges:
             out.setdefault(edge.source, []).append(edge)
+            if edge.kind in INHERITANCE_KINDS:
+                parents.setdefault(edge.source, {})[edge.target] = None
         model = self.model
         model.edges = tuple(self.edges)
         model._out = {k: tuple(v) for k, v in out.items()}
+        model._parents = {k: tuple(v) for k, v in parents.items()}
         model._resolve_on_demand = None
         model._closure_cache = {}
         return model

@@ -158,18 +158,62 @@ class UncertaintyCharacterization:
         )
 
 
-@dataclass(frozen=True)
+# not frozen: one is made per carried application, and a frozen dataclass
+# takes about four times as long to construct
+@dataclass(slots=True, eq=False, repr=False)
 class Provenance:
+    """Where a stereotype application comes from.
+
+    ``origin`` applies the stereotype directly, in the clause at ``span``.
+    An inherited application's provenance is one link on the provenance it
+    was carried from: ``hop`` is (edge kind, element it came through),
+    ``rest`` the provenance there and ``depth`` the number of hops; a
+    direct one has no hop. Equality is by value over (origin, span, path)
+    and the hash over (origin, path), since spans do not hash; neither
+    recurses. A provenance is never changed after it is made.
+    """
+
     origin: int
     span: Optional[Span] = None
-    path: tuple[tuple[EdgeKind, int], ...] = ()
+    hop: Optional[tuple[EdgeKind, int]] = None
+    rest: Optional["Provenance"] = None
+    depth: int = 0
 
     @property
     def is_direct(self) -> bool:
-        return not self.path
+        return self.hop is None
+
+    @property
+    def path(self) -> tuple[tuple[EdgeKind, int], ...]:
+        """The hops from the carrying element back to the origin, nearest first."""
+        hops = []
+        link = self
+        while link is not None and link.hop is not None:
+            hops.append(link.hop)
+            link = link.rest
+        return tuple(hops)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Provenance):
+            return NotImplemented
+        if self.origin != other.origin or self.span != other.span:
+            return False
+        mine, theirs = self, other
+        while mine is not theirs:
+            if mine is None or theirs is None or mine.hop != theirs.hop:
+                return False
+            mine, theirs = mine.rest, theirs.rest
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.origin, self.path))
+
+    def __repr__(self) -> str:
+        return (f"Provenance(origin={self.origin!r}, span={self.span!r}, "
+                f"path={self.path!r})")
 
 
-@dataclass
+@dataclass(slots=True)
 class StereotypeApplication:
     stereotype: str
     element: int

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .inheritance import (EffectiveMap, effective_specifications,
                           has_effective, is_reference_carrier)
-from .model import Model
+from .model import Model, strongly_connected
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                       UNCERTAINTY_TOPIC, RiskAnnotation, collect_risks)
@@ -134,9 +134,11 @@ def build_propagation_graph(model: Model,
             # definition) groups nothing, so only declared topics are nodes
             graph.add_role(eid, NodeRole.TOPIC)
 
+    specs_memo: dict[int, list[int]] = {}
     for eid, roles in list(graph.roles.items()):
         if NodeRole.SOURCE in roles:
-            for spec in effective_specifications(model, effective, eid):
+            for spec in effective_specifications(model, effective, eid,
+                                                 specs_memo):
                 graph.add_role(spec, NodeRole.SPECIFICATION)
                 graph.add_edge(eid, spec, PropagationEdgeKind.SPECIFIES,
                                model.elements[spec].span)
@@ -246,8 +248,12 @@ def reachable_set(graph: PropagationGraph, start: int, kinds: frozenset,
 def detect_cycles(graph: PropagationGraph) -> list[list[int]]:
     """All elementary cycles over Propagates edges (Johnson's algorithm).
 
-    The search keeps its own stack of frames, so chain length is not bound
-    by the interpreter's recursion limit.
+    Cycles come ordered by their least node, then in search order. Every
+    cycle lies inside one strongly connected component, so only components
+    that hold a cycle are searched, each from its least node; that node is
+    then removed and the rest of its component split again. The search
+    keeps its own stack of frames, so chain length is not bound by the
+    interpreter's recursion limit.
     """
     adjacency: dict[int, list[int]] = {}
     for edge in graph.edges:
@@ -255,7 +261,7 @@ def detect_cycles(graph: PropagationGraph) -> list[list[int]]:
             adjacency.setdefault(edge.source, []).append(edge.target)
     for targets in adjacency.values():
         targets.sort()
-    cycles: list[list[int]] = []
+    by_root: dict[int, list[list[int]]] = {}
 
     def unblock(node: int) -> None:
         pending = [node]
@@ -265,8 +271,11 @@ def detect_cycles(graph: PropagationGraph) -> list[list[int]]:
             pending.extend(other for other in block_map.pop(node, ())
                            if other in blocked)
 
-    for root in sorted(adjacency):
-        # each search stays inside the nodes >= root
+    components = _cyclic_components(adjacency, set(adjacency))
+    while components:
+        members = components.pop()
+        root = min(members)
+        cycles = by_root[root] = []
         blocked: set[int] = {root}
         block_map: dict[int, set[int]] = {}
         frames = [[root, iter(adjacency[root]), False]]  # node, peers, found
@@ -274,7 +283,7 @@ def detect_cycles(graph: PropagationGraph) -> list[list[int]]:
             frame = frames[-1]
             node, peers = frame[0], frame[1]
             for peer in peers:
-                if peer < root:
+                if peer not in members:
                     continue
                 if peer == root:
                     cycles.append([f[0] for f in frames])
@@ -291,9 +300,24 @@ def detect_cycles(graph: PropagationGraph) -> list[list[int]]:
                         frames[-1][2] = True
                 else:
                     for peer in adjacency.get(node, ()):
-                        if peer >= root:
+                        if peer in members:
                             block_map.setdefault(peer, set()).add(node)
-    return cycles
+        members.discard(root)
+        components.extend(_cyclic_components(adjacency, members))
+    return [cycle for root in sorted(by_root) for cycle in by_root[root]]
+
+
+def _cyclic_components(adjacency: dict[int, list[int]],
+                       nodes: set[int]) -> list[set[int]]:
+    """Strongly connected components of the subgraph on ``nodes`` that
+    hold a cycle: more than one node, or one node with a self-loop."""
+    successors = {node: [peer for peer in adjacency.get(node, ())
+                         if peer in nodes] for node in nodes}
+    groups: dict[int, set[int]] = {}
+    for node, number in strongly_connected(successors).items():
+        groups.setdefault(number, set()).add(node)
+    return [group for group in groups.values()
+            if len(group) > 1 or min(group) in successors[min(group)]]
 
 
 # -- topics ------------------------------------------------------------------------

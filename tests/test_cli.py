@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,9 +6,12 @@ import sys
 
 import pytest
 
+from psumlint import api, profile, propagation, validator
+from psumlint.api import analyze_text
 from psumlint.cli import run
+from psumlint.propagation import backward_trace, forward_trace
 
-from conftest import fixture_path, fixture_text
+from conftest import ALL_FIXTURES, fixture_path, fixture_text
 
 
 def invoke(capsys, *argv):
@@ -173,6 +177,22 @@ def test_risks_lists_roots(capsys):
     assert "radars" in out
 
 
+def test_risks_collects_risks_once_per_consumer(capsys, monkeypatch):
+    calls = []
+    collect_risks = profile.collect_risks
+
+    def counting(model):
+        calls.append(len(model.elements))
+        return collect_risks(model)
+
+    for module in (profile, propagation, validator, api):
+        monkeypatch.setattr(module, "collect_risks", counting)
+    code, out, _ = invoke(capsys, "risks", fixture_path("arrowhead.sysml"))
+    assert code == 0 and "lossOfCallGiveItemsRisk" in out
+    # the validator's V012 check, and the graph, whose list is printed
+    assert len(calls) == 2
+
+
 def test_graph_dot_default(capsys):
     code, out, _ = invoke(capsys, "graph", fixture_path("interaction.sysml"))
     assert code == 0
@@ -239,6 +259,34 @@ def test_console_entry_point_runs():
          fixture_path("acc.sysml")],
         capture_output=True, text=True)
     assert result.returncode == 0
+
+
+def _analyse_everything(text):
+    analysis = analyze_text(text)
+    for report in (analysis.stats, analysis.derived, analysis.topics,
+                   analysis.risks, analysis.suggestions):
+        report()
+    assert analysis.findings is not None
+    nodes = analysis.graph.nodes()
+    if nodes:
+        forward_trace(analysis.graph, nodes[0])
+        backward_trace(analysis.graph, nodes[-1])
+
+
+def test_analysis_leaves_no_cyclic_garbage():
+    """main() turns the cyclic collector off, which is only safe while an
+    analysis builds no reference cycles."""
+    lines = fixture_text("acc.sysml").splitlines(keepends=True)
+    texts = [fixture_text(name) for name in ALL_FIXTURES]
+    texts += ["".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            _analyse_everything(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_json_output_of_every_subcommand_matches_its_schema(capsys):

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 from psumlint.api import analyze_text
 from psumlint.inheritance import (effective_specifications,
                                   effective_stereotypes, has_effective)
@@ -167,17 +170,26 @@ def test_inherited_provenance_paths_are_real_edge_chains(frigate, interaction):
                 assert any(a.stereotype == app.stereotype for a in origin_apps)
 
 
-def test_deep_reverse_chain_needs_no_recursion():
+@functools.lru_cache(maxsize=1)
+def _reverse_chain(depth):
     # declared special-first, so each definition's general is still unbuilt
+    return analyze_text(
+        "package P { "
+        + "".join(f"part def D{i} specializes D{i + 1}; " for i in range(depth))
+        + f"«IndeterminacySource<nd>» part def D{depth}; }}")
+
+
+def _inherited_source(effective, eid):
+    [app] = [a for a in effective[eid] if a.stereotype == "IndeterminacySource"]
+    return app
+
+
+def test_deep_reverse_chain_needs_no_recursion():
     depth = 1500
-    text = ("package P { "
-            + "".join(f"part def D{i} specializes D{i + 1}; " for i in range(depth))
-            + f"«IndeterminacySource<nd>» part def D{depth}; }}")
-    analysis = analyze_text(text)
+    analysis = _reverse_chain(depth)
     model = analysis.model
     top = model.resolve_qualified("P::D0")
-    [app] = [a for a in analysis.effective[top]
-             if a.stereotype == "IndeterminacySource"]
+    app = _inherited_source(analysis.effective, top)
     assert len(app.provenance.path) == depth
     assert app.provenance.origin == model.resolve_qualified(f"P::D{depth}")
     assert analysis.graph is not None
@@ -185,3 +197,31 @@ def test_deep_reverse_chain_needs_no_recursion():
     for report in (analysis.stats, analysis.derived, analysis.topics,
                    analysis.risks, analysis.suggestions):
         report()
+
+
+def test_deep_provenance_is_linked_and_compares_by_value():
+    depth = 3000
+    model = _reverse_chain(depth).model
+    top = model.resolve_qualified("P::D0")
+    first = _inherited_source(effective_stereotypes(model), top).provenance
+    again = _inherited_source(effective_stereotypes(model), top).provenance
+    assert len(first.path) == first.depth == depth
+    assert first.path[0] == (EdgeKind.SUBCLASSIFICATION,
+                             model.resolve_qualified("P::D1"))
+    # two carries along the same path: separate links, equal values
+    assert first is not again and first.rest is not again.rest
+    assert first == again and hash(first) == hash(again)
+    assert first != first.rest and first.rest == again.rest
+    assert repr(first).startswith("Provenance(origin=")
+
+
+def test_deep_chain_effective_memory_is_linear():
+    model = _reverse_chain(3000).model
+    tracemalloc.start()
+    try:
+        effective_stereotypes(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copied path per hop would hold 3000 * 3001 / 2 path entries
+    assert peak < 4 * 2 ** 20

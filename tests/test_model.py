@@ -1,6 +1,12 @@
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from psumlint.api import analyze_sources, analyze_text
-from psumlint.model import (EdgeKind, ElementKind, MetaclassCategory,
-                            metaclass_category_of_kind)
+from psumlint.model import (INHERITANCE_KINDS, EdgeKind, ElementKind,
+                            MetaclassCategory, _Builder,
+                            metaclass_category_of_kind, strongly_connected)
 
 from psumlint.source import SourceFile
 
@@ -160,6 +166,98 @@ def test_specialization_cycle_r003():
     model = analysis.model
     for element in model.elements:
         assert element.id not in set(model.specialization_closure(element.id))
+
+
+def _specialization_model(defs, usages) -> str:
+    parts = []
+    for i, targets in enumerate(defs):
+        general = (" specializes " + ", ".join(f"D{t}" for t in targets)
+                   if targets else "")
+        parts.append(f"part def D{i}{general};")
+    for j, (typed, relation, other) in enumerate(usages):
+        typing = f" : D{typed}" if typed is not None else ""
+        related = f" {relation} u{other}" if relation else ""
+        parts.append(f"part u{j}{typing}{related};")
+    return "package P { " + " ".join(parts) + " }"
+
+
+def _breadth_first(parents: dict[int, list[int]], eid: int) -> tuple[int, ...]:
+    order, seen, frontier = [], {eid}, [eid]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for target in parents.get(node, ()):
+                if target not in seen:
+                    seen.add(target)
+                    order.append(target)
+                    nxt.append(target)
+        frontier = nxt
+    return tuple(order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cycle_removal_and_closure_on_random_models(data):
+    size = data.draw(st.integers(1, 8), label="defs")
+    index = st.integers(0, size - 1)
+    defs = data.draw(st.lists(st.lists(index, max_size=3), min_size=size,
+                              max_size=size), label="specializes")
+    usages = data.draw(st.lists(st.tuples(
+        st.none() | index, st.sampled_from(("", ":>", ":>>")),
+        st.integers(0, 3)), max_size=4), label="usages")
+    usages = [(typed, relation if other < len(usages) else "", other)
+              for typed, relation, other in usages]
+    declared = []
+    remove_cycles = _Builder.remove_cycles
+
+    def recording(builder):
+        declared.extend(builder.edges)
+        remove_cycles(builder)
+
+    with mock.patch.object(_Builder, "remove_cycles", recording):
+        model = analyze_text(_specialization_model(defs, usages)).model
+    kept = {id(edge) for edge in model.edges}
+    assert [edge for edge in declared if id(edge) in kept] == list(model.edges)
+
+    # replay cycle removal: an edge is dropped exactly when it would close
+    # a cycle over the inheritance edges kept before it
+    parents: dict[int, list[int]] = {}
+    dropped = []
+    for edge in declared:
+        if edge.kind not in INHERITANCE_KINDS:
+            continue
+        closes = (edge.source == edge.target
+                  or edge.source in _breadth_first(parents, edge.target))
+        if id(edge) in kept:
+            assert not closes, edge
+            parents.setdefault(edge.source, []).append(edge.target)
+        else:
+            assert closes, edge
+            dropped.append(edge.span)
+    assert dropped == [d.span for d in model.diagnostics if d.code == "R003"]
+
+    # closures, asked for in any order, match a plain breadth-first search
+    order = [element.id for element in model.elements]
+    data.draw(st.randoms(use_true_random=False), label="order").shuffle(order)
+    for eid in order:
+        closure = model.specialization_closure(eid)
+        assert closure == _breadth_first(parents, eid)
+        assert eid not in closure
+
+
+def test_strongly_connected_components():
+    component = strongly_connected({1: [2], 2: [3, 1], 3: [4], 4: [3], 5: [5]})
+    assert set(component) == {1, 2, 3, 4, 5}
+    assert component[1] == component[2] != component[3] == component[4]
+    assert len({component[1], component[3], component[5]}) == 3
+    # a component is numbered before every component that reaches it
+    assert component[3] < component[1]
+    # a long chain needs no recursion, and each node is its own component
+    chain = {i: [i + 1] for i in range(5000)}
+    assert sorted(strongly_connected(chain).values()) == list(range(5001))
+    # a ring of the same length is one component
+    chain[5000] = [0]
+    assert set(strongly_connected(chain).values()) == {0}
 
 
 def test_every_specialization_has_edge_or_r001():

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psumlint.api import analyze_text
 from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
-                                  PropagationEdgeKind, TRACE_KINDS,
+                                  PropagationEdgeKind, PropagationGraph,
+                                  TRACE_KINDS,
                                   TraceStartError, backward_trace,
                                   detect_cycles, forward_trace,
                                   reachable_set)
@@ -152,6 +155,44 @@ def test_long_effect_ring_is_one_cycle():
     analysis = _effect_chain(1100, ring=True)
     ring = [analysis.model.resolve_qualified(f"P::u{i}") for i in range(1100)]
     assert detect_cycles(analysis.graph) == [ring]
+
+
+def _simple_cycles(adjacency):
+    """Every elementary cycle, least node first, by plain path enumeration."""
+    found = []
+
+    def extend(path):
+        for peer in adjacency.get(path[-1], ()):
+            if peer == path[0]:
+                found.append(path)
+            elif peer > path[0] and peer not in path:
+                extend(path + [peer])
+
+    for root in sorted(adjacency):
+        extend([root])
+    return found
+
+
+_NODE = st.integers(0, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_NODE, _NODE), max_size=20),
+       st.lists(st.tuples(_NODE, _NODE, st.sampled_from(
+           [k for k in PropagationEdgeKind
+            if k is not PropagationEdgeKind.PROPAGATES])), max_size=6))
+def test_detect_cycles_matches_path_enumeration(propagates, others):
+    graph = PropagationGraph(model=None)
+    for source, target, kind in others:
+        graph.add_edge(source, target, kind, None)
+    adjacency = {}
+    for source, target in propagates:
+        graph.add_edge(source, target, PropagationEdgeKind.PROPAGATES, None)
+        adjacency.setdefault(source, set()).add(target)
+    cycles = detect_cycles(graph)
+    assert sorted(cycles) == sorted(_simple_cycles(adjacency))
+    assert [cycle[0] for cycle in cycles] == sorted(c[0] for c in cycles)
+    assert all(cycle[0] == min(cycle) for cycle in cycles)
 
 
 def test_empty_graph_has_no_cycles():
