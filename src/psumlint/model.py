@@ -244,31 +244,12 @@ class Model:
     def specialization_closure(self, eid: int) -> tuple[int, ...]:
         """Transitive specialization targets, nearest first, self excluded.
 
-        After ``freeze`` the edges are acyclic, so the closure of an element
-        with exactly one parent ``p`` is ``(p,) + closure(p)``. A call walks
-        down such single-parent links to an element whose closure is cached
-        or has to be searched (no parent, or several), searches only that
-        one breadth-first, and caches every closure on the way back up.
+        A breadth-first search over inheritance edges; after ``freeze`` each
+        result is cached.
         """
         cache = self._closure_cache
-        if cache is None:
-            return self._breadth_first(eid)
-        chain: list[int] = []
-        node = eid
-        while node not in cache:
-            parents = self.parents(node)
-            if len(parents) != 1:
-                cache[node] = self._breadth_first(node)
-                break
-            chain.append(node)
-            node = parents[0]
-        closure = cache[node]
-        for child in reversed(chain):
-            closure = cache[child] = (node,) + closure
-            node = child
-        return closure
-
-    def _breadth_first(self, eid: int) -> tuple[int, ...]:
+        if cache is not None and eid in cache:
+            return cache[eid]
         order: list[int] = []
         seen = {eid}
         frontier = [eid]
@@ -283,7 +264,10 @@ class Model:
                         order.append(edge.target)
                         nxt.append(edge.target)
             frontier = nxt
-        return tuple(order)
+        result = tuple(order)
+        if cache is not None:
+            cache[eid] = result
+        return result
 
     def metaclass_category(self, eid: int) -> MetaclassCategory:
         return _CATEGORY_BY_KIND[self.elements[eid].kind]

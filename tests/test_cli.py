@@ -11,7 +11,7 @@ from psumlint.api import analyze_text
 from psumlint.cli import run
 from psumlint.propagation import backward_trace, forward_trace
 
-from conftest import ALL_FIXTURES, fixture_path, fixture_text
+from conftest import ALL_FIXTURES, CLEAN_FIXTURES, fixture_path, fixture_text
 
 
 def invoke(capsys, *argv):
@@ -261,6 +261,44 @@ def test_console_entry_point_runs():
     assert result.returncode == 0
 
 
+def _wrapped(copies):
+    """Every clean fixture, each wrapped `copies` times in a package."""
+    return "".join(
+        f"package Copy{i}_{os.path.splitext(name)[0]} {{\n"
+        f"{fixture_text(name)}\n}}\n"
+        for i in range(copies) for name in CLEAN_FIXTURES)
+
+
+def _lattice(tag, depth, reverse):
+    """A specialization chain L<tag>_0 … L<tag>_<depth-1> under an
+    indeterminacy source that owns two specification constraints, with an
+    uncertainty every third level, usages typed by every fifth level whose
+    specification ref reaches the root's constraint through inherited
+    members, and one usage that redefines the deepest of them."""
+    name = f"L{tag}_"
+    levels = [f"«IndeterminacySource<nd>» part def {name}0 {{ "
+              f"attribute up : Boolean; "
+              f"«IndeterminacySpecification» constraint Up {{ up; }} "
+              f"«IndeterminacySpecification» constraint Down {{ not up; }} }}\n"]
+    levels += [("«Uncertainty<ocr, epi, subj>» " if d % 3 == 0 else "")
+               + f"part def {name}{d} specializes {name}{d - 1};\n"
+               for d in range(1, depth)]
+    if reverse:
+        levels.reverse()
+    typed = range(0, depth, 5)
+    usages = "".join(
+        f"«Uncertainty<ocr, epi, subj>» part u{d} : {name}{d} {{ "
+        f"«IndeterminacySpecification» ref ::> sys.u{d}.Up; }}\n"
+        for d in typed)
+    return (f"package Lattice_{tag} {{\n{''.join(levels)}part sys {{\n"
+            f"{usages}«IndeterminacySource<isr>» part uOver :>> u{typed[-1]};\n"
+            f"}}\n}}\n")
+
+
+def _generated_models():
+    return _wrapped(2) + _lattice("F", 60, False) + _lattice("R", 60, True)
+
+
 def _analyse_everything(text):
     analysis = analyze_text(text)
     for report in (analysis.stats, analysis.derived, analysis.topics,
@@ -279,6 +317,7 @@ def test_analysis_leaves_no_cyclic_garbage():
     lines = fixture_text("acc.sysml").splitlines(keepends=True)
     texts = [fixture_text(name) for name in ALL_FIXTURES]
     texts += ["".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))]
+    texts.append(_generated_models())
     gc.collect()
     gc.disable()
     try:
@@ -287,6 +326,54 @@ def test_analysis_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _cyclic_garbage_of_run(capsys, argv):
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            code = run(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        return code, gc.collect()
+    finally:
+        gc.enable()
+        capsys.readouterr()
+
+
+def test_cli_garbage_does_not_grow_with_the_model(tmp_path, capsys):
+    """argparse and json leave a few reference cycles behind in every run.
+    With the collector off in main(), that is only safe while their number
+    stays the same however large the model is."""
+    extra = tmp_path / "generated.sysml"
+    extra.write_text(_generated_models(), encoding="utf-8")
+    acc = fixture_path("acc.sysml")
+    interaction = fixture_path("interaction.sysml")
+    cases = [("check", acc, ()), ("check", acc, ("--format", "json")),
+             ("stats", acc, ()), ("stats", acc, ("--format", "json")),
+             ("topics", acc, ()), ("risks", acc, ("--format", "json")),
+             ("graph", interaction, ()),
+             ("graph", interaction, ("--format", "json")),
+             ("derive-specs", interaction, ("--format", "json")),
+             ("propagate", interaction,
+              ("--from", "Configuration::producer::producerBehavior::publish")),
+             ("propagate", acc,
+              ("--format", "json", "--to", "BehavioralModel::ACCState::accOn::"
+               "decisionLayerState::failToStartDeciding")),
+             # error exits: a start outside the graph, an unknown name, an
+             # unresolved model, an unknown flag
+             ("propagate", acc, ("--from", "BehavioralModel::ACCState::ready")),
+             ("propagate", acc, ("--from", "No::Such::Thing")),
+             ("check", fixture_path("acc_verbatim.sysml"), ()),
+             ("check", acc, ("--bogus",))]
+    for command, path, options in cases:
+        small = [command, path, *options]
+        # the generated models are clean, so the exit code stays the same
+        large = [command, path, str(extra), *options]
+        _cyclic_garbage_of_run(capsys, small)  # first-call caches
+        assert (_cyclic_garbage_of_run(capsys, large)
+                == _cyclic_garbage_of_run(capsys, small)), small
 
 
 def test_json_output_of_every_subcommand_matches_its_schema(capsys):
