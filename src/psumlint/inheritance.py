@@ -12,63 +12,188 @@ fields merge field-wise with the nearer application winning.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import EdgeKind, INHERITANCE_KINDS, Model
+from .model import EdgeKind, INHERITANCE_KINDS, Model, SpecializationEdge
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                       Provenance, StereotypeApplication, is_reference_carrier)
 
-EffectiveMap = dict[int, list[StereotypeApplication]]
+_NO_KINDS: frozenset[str] = frozenset()
+
+
+class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
+    """Direct plus inherited applications of every element, read-only.
+
+    Only each element's set of effective stereotype kinds is built up
+    front; equal sets are interned, so elements share them. That answers
+    ``has_effective`` with one set test. An element's full list, ordered
+    direct first and then by (depth, origin, stereotype), is built from its
+    parents' lists when it is first read, and kept.
+    """
+
+    def __init__(self, model: Model) -> None:
+        self._model = model
+        self._kinds: dict[int, frozenset[str]] = {}
+        self._lists: dict[int, list[StereotypeApplication]] = {}
+        self._references: dict[int, tuple[StereotypeApplication, ...]] = {}
+        self._firsts: dict[tuple[str, ...],
+                           dict[int, Optional[StereotypeApplication]]] = {}
+        kinds = self._kinds
+        interned: dict[frozenset[str], frozenset[str]] = {}
+        for eid in _post_order(model, (e.id for e in model.elements), kinds):
+            direct = model.elements[eid].annotations
+            parents = model.parents(eid)
+            if not direct and len(parents) == 1:
+                kinds[eid] = kinds[parents[0]]
+                continue
+            found = frozenset(app.stereotype for app in direct).union(
+                *(kinds[parent] for parent in parents))
+            kinds[eid] = interned.setdefault(found, found)
+
+    def __getitem__(self, eid: int) -> list[StereotypeApplication]:
+        lists = self._lists
+        if eid not in lists:
+            if eid not in self._kinds:
+                raise KeyError(eid)
+            for node in _post_order(self._model, (eid,), lists):
+                lists[node] = _combine(self._model, node, lists)
+        return lists[eid]
+
+    def __contains__(self, eid: object) -> bool:
+        return eid in self._kinds
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._kinds)
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def kinds(self, eid: int) -> frozenset[str]:
+        """The stereotypes an element carries, directly or inherited."""
+        return self._kinds.get(eid, _NO_KINDS)
+
+    def first(self, eid: int, stereotypes: tuple[str, ...]
+              ) -> Optional[StereotypeApplication]:
+        """The first application of one of ``stereotypes`` in ``self[eid]``.
+
+        Found without building lists: an element's first one is its own
+        application of the least such stereotype, or else the least by
+        (depth, origin, stereotype) of its parents' first ones, carried over
+        the first inheritance edge that reaches it. The redefinition
+        override never removes it, as it only drops kinds the element
+        applies itself. One carried application per element is kept for
+        each ``stereotypes``.
+        """
+        if self.kinds(eid).isdisjoint(stereotypes):
+            return None
+        memo = self._firsts.setdefault(stereotypes, {})
+        model = self._model
+        for node in _post_order(model, (eid,), memo):
+            own = [app for app in _direct(model.elements[node])
+                   if app.stereotype in stereotypes]
+            if own:
+                memo[node] = own[0]
+                continue
+            best = via = None
+            for edge in _inheritance_edges(model, node):
+                found = memo[edge.target]
+                if found is not None and (best is None
+                                          or _rank(found) < _rank(best)):
+                    best, via = found, edge
+            memo[node] = (None if best is None
+                          else _carry(best, (via.kind, via.target), node))
+        return memo[eid]
+
+    def references(self, eid: int) -> tuple[StereotypeApplication, ...]:
+        """The Uncertainty and Effect applications in ``self[eid]`` that
+        hold specification or effect references, in list order.
+
+        An element with one inheritance edge lists its own such
+        applications, then its parent's tuple, less the kinds a
+        redefinition override drops; the tuple is shared when nothing is
+        added or dropped. Carried entries keep their order, as one hop adds
+        one to every depth. Only an element with several inheritance edges
+        reads its full list. Entries may be the applications that were
+        carried, so read only their stereotype and references.
+        """
+        memo = self._references
+        model = self._model
+        chain: list[tuple[int, SpecializationEdge]] = []
+        node = eid
+        while node not in memo:
+            edges = _inheritance_edges(model, node)
+            if len(edges) > 1:
+                memo[node] = tuple(app for app in self[node] if _refers(app))
+                break
+            if not edges:
+                memo[node] = _own_references(model, node)
+                break
+            chain.append((node, edges[0]))
+            node = edges[0].target
+        refs = memo[node]
+        for child, edge in reversed(chain):
+            if edge.kind is EdgeKind.REDEFINITION:
+                overridden = {app.stereotype
+                              for app in model.elements[child].annotations}
+                if any(app.stereotype in overridden for app in refs):
+                    refs = tuple(app for app in refs
+                                 if app.stereotype not in overridden)
+            own = _own_references(model, child)
+            refs = memo[child] = own + refs if own else refs
+        return refs
 
 
 def effective_stereotypes(model: Model) -> EffectiveMap:
-    """Direct plus inherited applications for every element.
+    """Direct plus inherited applications for every element (see
+    ``EffectiveMap``)."""
+    return EffectiveMap(model)
+
+
+def _post_order(model: Model, roots: Iterable[int],
+                done: Mapping[int, object]) -> Iterator[int]:
+    """Elements reachable from ``roots`` over ``model.parents`` and not in
+    ``done``, each after its parents; the caller adds each one to ``done``.
 
     A depth-first walk with an explicit stack, so the depth of a
     specialization chain is not bounded by the interpreter's recursion
-    limit. Each element is computed when the walk leaves it, after every
-    inheritance target it reaches; a target still on the stack (a cycle)
-    contributes only its direct applications.
+    limit. ``model.parents`` is acyclic once the model is built, as R003
+    drops every edge that would close a cycle.
     """
-    memo: EffectiveMap = {}
-    on_stack: set[int] = set()
-    for element in model.elements:
-        if element.id in memo:
+    for root in roots:
+        if root in done:
             continue
-        on_stack.add(element.id)
-        stack = [(element.id, iter(model.parents(element.id)))]
+        stack = [(root, iter(model.parents(root)))]
         while stack:
             eid, parents = stack[-1]
             for target in parents:
-                if target not in memo and target not in on_stack:
-                    on_stack.add(target)
+                if target not in done:
                     stack.append((target, iter(model.parents(target))))
                     break
             else:
                 stack.pop()
-                on_stack.discard(eid)
-                memo[eid] = _combine(model, eid, memo)
-    return memo
+                yield eid
+
+
+def _inheritance_edges(model: Model, eid: int) -> list[SpecializationEdge]:
+    return [edge for edge in model.out_edges(eid)
+            if edge.kind in INHERITANCE_KINDS]
 
 
 def _combine(model: Model, eid: int,
-             memo: EffectiveMap) -> list[StereotypeApplication]:
+             lists: dict[int, list[StereotypeApplication]]
+             ) -> list[StereotypeApplication]:
     direct = model.elements[eid].annotations
     direct_kinds = {app.stereotype for app in direct}
     combined: dict[tuple[str, int], StereotypeApplication] = {}
     for app in direct:
         combined[(app.stereotype, eid)] = app
-    for edge in model.out_edges(eid):
-        if edge.kind not in INHERITANCE_KINDS:
-            continue
-        inherited_apps = memo.get(edge.target)
-        if inherited_apps is None:  # still on the stack: a cycle
-            inherited_apps = model.elements[edge.target].annotations
+    for edge in _inheritance_edges(model, eid):
         redefines = edge.kind is EdgeKind.REDEFINITION
         hop = (edge.kind, edge.target)
-        for inherited in inherited_apps:
+        for inherited in lists[edge.target]:
             if redefines and inherited.stereotype in direct_kinds:
                 continue
             key = (inherited.stereotype, inherited.provenance.origin)
@@ -76,7 +201,29 @@ def _combine(model: Model, eid: int,
             if (existing is None or inherited.provenance.depth + 1
                     < existing.provenance.depth):
                 combined[key] = _carry(inherited, hop, eid)
-    return _ordered(combined, eid)
+    return sorted(combined.values(), key=_rank)
+
+
+def _rank(app: StereotypeApplication) -> tuple[int, int, str]:
+    """List order: direct entries (depth 0) first, then the nearer."""
+    return (app.provenance.depth, app.provenance.origin, app.stereotype)
+
+
+def _direct(element) -> list[StereotypeApplication]:
+    """An element's direct entries in list order: the last application of
+    each stereotype, by stereotype."""
+    by_kind = {app.stereotype: app for app in element.annotations}
+    return [by_kind[stereotype] for stereotype in sorted(by_kind)]
+
+
+def _refers(app: StereotypeApplication) -> bool:
+    return (app.stereotype in (UNCERTAINTY, EFFECT)
+            and bool(app.spec_refs or app.effect_refs))
+
+
+def _own_references(model: Model, eid: int
+                    ) -> tuple[StereotypeApplication, ...]:
+    return tuple(app for app in _direct(model.elements[eid]) if _refers(app))
 
 
 def _carry(app: StereotypeApplication, hop: tuple[EdgeKind, int],
@@ -99,17 +246,8 @@ def _carry(app: StereotypeApplication, hop: tuple[EdgeKind, int],
     )
 
 
-def _ordered(combined: dict[tuple[str, int], StereotypeApplication],
-             eid: int) -> list[StereotypeApplication]:
-    return sorted(combined.values(),
-                  key=lambda app: (0 if app.is_direct else 1,
-                                   app.provenance.depth,
-                                   app.provenance.origin,
-                                   app.stereotype))
-
-
 def has_effective(effective: EffectiveMap, eid: int, *stereotypes: str) -> bool:
-    return any(app.stereotype in stereotypes for app in effective.get(eid, ()))
+    return not effective.kinds(eid).isdisjoint(stereotypes)
 
 
 def effective_characterization(effective: EffectiveMap, eid: int):
@@ -162,10 +300,16 @@ def _owned_specifications(model: Model, effective: EffectiveMap,
 
 @dataclass(frozen=True)
 class DerivedEntry:
+    """An element that inherits a stereotype it does not apply itself;
+    ``provenance`` is the link of its nearest such application."""
+
     element: int
     stereotype: str
-    origin: int
-    path: tuple[tuple[EdgeKind, int], ...]
+    provenance: Provenance
+
+    @property
+    def origin(self) -> int:
+        return self.provenance.origin
 
 
 @dataclass(frozen=True)
@@ -182,17 +326,13 @@ def derived_report(model: Model, effective: EffectiveMap) -> DerivedReport:
     for element in model.elements:
         if element.is_prelude or is_reference_carrier(element):
             continue
-        apps = effective.get(element.id, [])
-        direct_kinds = {a.stereotype for a in apps if a.is_direct}
-        for group, names, bucket in (
-                ("uncertain", (UNCERTAINTY, EFFECT), uncertain),
-                ("source", (INDETERMINACY_SOURCE,), sources)):
-            inherited = [a for a in apps
-                         if a.stereotype in names and not a.is_direct]
-            if inherited and not (direct_kinds & set(names)):
-                first = inherited[0]
+        kinds = effective.kinds(element.id)
+        direct_kinds = {app.stereotype for app in element.annotations}
+        for names, bucket in (((UNCERTAINTY, EFFECT), uncertain),
+                              ((INDETERMINACY_SOURCE,), sources)):
+            if not kinds.isdisjoint(names) and direct_kinds.isdisjoint(names):
+                first = effective.first(element.id, names)
                 bucket.append(DerivedEntry(
                     element=element.id, stereotype=first.stereotype,
-                    origin=first.provenance.origin,
-                    path=first.provenance.path))
+                    provenance=first.provenance))
     return DerivedReport(uncertain=tuple(uncertain), sources=tuple(sources))

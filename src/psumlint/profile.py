@@ -168,9 +168,9 @@ class Provenance:
     An inherited application's provenance is one link on the provenance it
     was carried from: ``hop`` is (edge kind, element it came through),
     ``rest`` the provenance there and ``depth`` the number of hops; a
-    direct one has no hop. Equality is by value over (origin, span, path)
-    and the hash over (origin, path), since spans do not hash; neither
-    recurses. A provenance is never changed after it is made.
+    direct one has no hop. Equality and the hash are by value over
+    (origin, span, path); neither recurses. A provenance is never changed
+    after it is made.
     """
 
     origin: int
@@ -206,7 +206,7 @@ class Provenance:
         return True
 
     def __hash__(self) -> int:
-        return hash((self.origin, self.path))
+        return hash((self.origin, self.span, self.path))
 
     def __repr__(self) -> str:
         return (f"Provenance(origin={self.origin!r}, span={self.span!r}, "

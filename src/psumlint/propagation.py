@@ -144,9 +144,7 @@ def build_propagation_graph(model: Model,
                                model.elements[spec].span)
 
     for eid in uncertain_elements:
-        for app in effective.get(eid, ()):
-            if app.stereotype not in (UNCERTAINTY, EFFECT):
-                continue
+        for app in effective.references(eid):
             for ref in app.spec_refs:
                 if has_effective(effective, ref.target,
                                  INDETERMINACY_SPECIFICATION):
@@ -395,12 +393,8 @@ def derive_effect_specifications(model: Model, effective: EffectiveMap,
     Advisory only; the model is never changed.
     """
     def anchored_refs(eid: int) -> list[tuple[Optional[int], int]]:
-        pairs: list[tuple[Optional[int], int]] = []
-        for app in effective.get(eid, ()):
-            if app.stereotype in (UNCERTAINTY, EFFECT):
-                for ref in app.spec_refs:
-                    pairs.append((ref.anchor, ref.target))
-        return pairs
+        return [(ref.anchor, ref.target)
+                for app in effective.references(eid) for ref in app.spec_refs]
 
     suggestions: list[SpecSuggestion] = []
     for edge in graph.edges:

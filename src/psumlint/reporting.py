@@ -89,16 +89,15 @@ def model_stats(model: Model, effective: EffectiveMap,
     for element in model.elements:
         if element.is_prelude or is_reference_carrier(element):
             continue
-        apps = effective.get(element.id, [])
-        direct_kinds = {a.stereotype for a in apps if a.is_direct}
-        inherited_kinds = {a.stereotype for a in apps if not a.is_direct}
+        direct_kinds = {a.stereotype for a in element.annotations}
+        inherited_kinds = effective.kinds(element.id) - direct_kinds
         for stereotype in _in_stereotype_order(direct_kinds):
             cell = counts.setdefault(stereotype, {}).setdefault(
                 element.kind.value,
                 {"direct": 0, "inherited": 0, "element_lom": 0})
             cell["direct"] += 1
             cell["element_lom"] += element_line_extent(element)
-        for stereotype in _in_stereotype_order(inherited_kinds - direct_kinds):
+        for stereotype in _in_stereotype_order(inherited_kinds):
             cell = counts.setdefault(stereotype, {}).setdefault(
                 element.kind.value,
                 {"direct": 0, "inherited": 0, "element_lom": 0})
@@ -332,7 +331,7 @@ def render_derived(report, model: Model, fmt: str) -> str:
             "origin": model.elements[entry.origin].display_name(),
             "path": [{"edge": kind.value,
                       "through": model.elements[via].display_name()}
-                     for kind, via in entry.path],
+                     for kind, via in entry.provenance.path],
         }
     if fmt == "json":
         return render_json({

@@ -12,9 +12,13 @@ import bisect
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(eq=False)
 class SourceFile:
-    """One model file: path, full text, and an index of line-start offsets."""
+    """One model file: path, full text, and an index of line-start offsets.
+
+    Files compare and hash by identity, as a model holds one object per
+    file; so spans, which hold their file, hash too.
+    """
 
     path: str
     content: str

@@ -13,7 +13,7 @@ tree is always returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from typing import Optional
 
@@ -136,6 +136,9 @@ class AstNode:
             if isinstance(v, (NamePath, TypeRef, Value, AnnotationClause,
                               AnnotationEntry, Expr)):
                 return repr_structural(v)
+            if isinstance(v, (SendClause, AcceptClause)):
+                return (type(v).__name__,
+                        tuple(norm(getattr(v, f.name)) for f in fields(v)))
             return v
         return (self.kind, norm(self.attrs), tuple(c.structure() for c in self.children))
 

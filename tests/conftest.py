@@ -21,6 +21,34 @@ def fixture_text(name: str) -> str:
         return fh.read()
 
 
+def specialization_model(defs, usages, decorations=None) -> str:
+    """Package ``P`` of part defs ``D<i>`` and part usages ``u<j>``.
+
+    ``defs[i]`` lists the defs that ``D<i>`` specializes. ``usages[j]`` is
+    (the def ``u<j>`` is typed by or None, relation operators, the usage
+    they relate to); each operator in the space-separated string (``:>``,
+    ``:>>``) adds one edge to that usage. ``decorations`` maps a name
+    (``D0``, ``u1``) to (text put before its declaration, body statements)
+    and a ``constants`` entry to text put before every declaration.
+    """
+    decorations = decorations or {}
+    parts = [decorations.get("constants", "")]
+
+    def declare(name: str, head: str) -> None:
+        before, body = decorations.get(name, ("", ""))
+        parts.append(f"{before}{head}" + (f" {{ {body} }}" if body else ";"))
+
+    for i, targets in enumerate(defs):
+        general = (" specializes " + ", ".join(f"D{t}" for t in targets)
+                   if targets else "")
+        declare(f"D{i}", f"part def D{i}{general}")
+    for j, (typed, relation, other) in enumerate(usages):
+        typing = f" : D{typed}" if typed is not None else ""
+        related = "".join(f" {op} u{other}" for op in relation.split())
+        declare(f"u{j}", f"part u{j}{typing}{related}")
+    return "package P { " + " ".join(part for part in parts if part) + " }"
+
+
 _cache: dict[str, Analysis] = {}
 
 

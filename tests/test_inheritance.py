@@ -1,10 +1,17 @@
 import functools
 import tracemalloc
 
-from psumlint.api import analyze_text
-from psumlint.inheritance import (effective_specifications,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psumlint.api import Analysis, analyze_text
+from psumlint.inheritance import (derived_report, effective_specifications,
                                   effective_stereotypes, has_effective)
-from psumlint.model import EdgeKind
+from psumlint.model import INHERITANCE_KINDS, EdgeKind
+from psumlint.profile import (DEFAULT_CATALOG, EFFECT, INDETERMINACY_SOURCE,
+                              UNCERTAINTY, is_reference_carrier)
+
+from conftest import specialization_model
 
 
 def names(analysis, ids):
@@ -225,3 +232,244 @@ def test_deep_chain_effective_memory_is_linear():
         tracemalloc.stop()
     # a copied path per hop would hold 3000 * 3001 / 2 path entries
     assert peak < 4 * 2 ** 20
+
+
+def test_deep_chain_derived_memory_is_linear():
+    model = _reverse_chain(3000).model
+    analysis = Analysis(model=model, catalog=DEFAULT_CATALOG)
+    analysis.effective
+    tracemalloc.start()
+    try:
+        report = analysis.derived()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.sources) == 3000
+    assert len(report.sources[0].provenance.path) == 3000
+    # a copied path per entry would hold 3000 * 3001 / 2 path entries
+    assert peak < 4 * 2 ** 20
+
+
+def _lattice_chain(depth):
+    # every third level an Uncertainty, as in the benchmark's lattice: the
+    # full lists would hold depth * depth / 6 inherited applications
+    return analyze_text(
+        "package P { «IndeterminacySource<nd>» part def L0 { "
+        "«IndeterminacySpecification» constraint Up { true; } } "
+        + "".join(("«Uncertainty<ocr, epi, subj>» " if d % 3 == 0 else "")
+                  + f"part def L{d} specializes L{d - 1}; "
+                  for d in range(1, depth))
+        + "part sys { "
+        + "".join(f"«Uncertainty<ocr, epi, subj>» part u{d} : L{d} {{ "
+                  f"«IndeterminacySpecification» ref ::> sys.u{d}.Up; "
+                  f"«Effect» ref ::> u{(d + 5) % depth}; }} "
+                  for d in range(0, depth, 5))
+        + "} }")
+
+
+def test_pipeline_builds_no_effective_lists():
+    depth = 900
+    analysis = _lattice_chain(depth)
+    tracemalloc.start()
+    try:
+        analysis.effective
+        assert not analysis.findings
+        graph = analysis.graph
+        for report in (analysis.stats, analysis.topics, analysis.risks,
+                       analysis.suggestions, analysis.derived):
+            report()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) > depth // 5
+    # the lists would hold 135,000 applications, tens of MiB
+    assert peak < 4 * 2 ** 20
+    # reading the map still builds them, equal to a plain recomputation
+    bottom = analysis.model.resolve_qualified(f"P::L{depth - 1}")
+    assert len(analysis.effective[bottom]) == 1 + (depth - 1) // 3
+    assert sum(map(len, analysis.effective.values())) > depth * depth // 6
+
+
+# -- the effective map against an eager oracle ---------------------------------
+
+_APPLIED = ("", "«Uncertainty<ocr, epi, subj>» ", "«Uncertainty<con>» ",
+            "«Effect<con>» ", "«IndeterminacySource<nd>» ",
+            "«Uncertainty<ocr>, Effect» ",
+            "«Uncertainty<ocr>, Uncertainty<con>» ")
+_GROUPS = ((UNCERTAINTY, EFFECT), (INDETERMINACY_SOURCE,), (UNCERTAINTY,),
+           (EFFECT,))
+
+
+def _oracle(model):
+    """Each element's effective list by enumerating its inheritance paths.
+
+    An application of kind s at the end of a path is carried unless some
+    element on it applies s itself and leaves over a redefinition edge.
+    Per (s, origin) the shortest path wins, and of those the one whose
+    edge positions in ``out_edges`` order are least.
+    """
+    def edges(node):
+        return [e for e in model.out_edges(node) if e.kind in INHERITANCE_KINDS]
+
+    def direct(node):
+        return {a.stereotype: a for a in model.elements[node].annotations}
+
+    lists = {}
+    for element in model.elements:
+        best = {(s, element.id): ((0, ()), (), a)
+                for s, a in direct(element.id).items()}
+        stack = [(element.id, (), (), frozenset())]
+        while stack:
+            node, positions, hops, blocked = stack.pop()
+            for index, edge in enumerate(edges(node)):
+                here = blocked | (direct(node).keys()
+                                  if edge.kind is EdgeKind.REDEFINITION
+                                  else frozenset())
+                path = (positions + (index,), hops + ((edge.kind, edge.target),))
+                for s, a in direct(edge.target).items():
+                    rank = (len(path[0]), path[0])
+                    key = (s, edge.target)
+                    if s not in here and (key not in best
+                                          or rank < best[key][0]):
+                        best[key] = (rank, path[1], a)
+                stack.append((edge.target, *path, frozenset(here)))
+        lists[element.id] = sorted(
+            ((s, origin, hops, a) for (s, origin), (_, hops, a) in best.items()),
+            key=lambda row: (len(row[2]), row[1], row[0]))
+    return lists
+
+
+def _row(app):
+    return (app.stereotype, app.provenance.origin, app.provenance.path,
+            app.provenance.span, app.span, app.characterization)
+
+
+def _oracle_row(row):
+    s, origin, hops, app = row
+    return (s, origin, hops, app.provenance.span, app.span,
+            app.characterization)
+
+
+def _refers(row):
+    app = row[3]
+    return row[0] in (UNCERTAINTY, EFFECT) and (app.spec_refs
+                                                or app.effect_refs)
+
+
+def _check_against_oracle(model, order):
+    oracle = _oracle(model)
+    effective = effective_stereotypes(model)
+    assert len(effective) == len(model.elements)
+    # the lazy queries first, while no list is built
+    for eid in order:
+        assert eid in effective
+        assert effective.kinds(eid) == {row[0] for row in oracle[eid]}
+        for names in _GROUPS:
+            rows = [row for row in oracle[eid] if row[0] in names]
+            found = effective.first(eid, names)
+            if rows:
+                assert (_row(found), found.element) == \
+                    (_oracle_row(rows[0]), eid)
+            else:
+                assert found is None
+        assert [(a.stereotype, a.spec_refs, a.effect_refs)
+                for a in effective.references(eid)] == \
+            [(row[0], row[3].spec_refs, row[3].effect_refs)
+             for row in oracle[eid] if _refers(row)]
+    derived = derived_report(model, effective)
+    expected = {"uncertain": [], "sources": []}
+    for element in model.elements:
+        if element.is_prelude or is_reference_carrier(element):
+            continue
+        rows = oracle[element.id]
+        for group, names in (("uncertain", (UNCERTAINTY, EFFECT)),
+                             ("sources", (INDETERMINACY_SOURCE,))):
+            inherited = [row for row in rows if row[0] in names and row[2]]
+            if inherited and not any(row[0] in names and not row[2]
+                                     for row in rows):
+                expected[group].append((element.id, inherited[0][0],
+                                        inherited[0][1], inherited[0][2]))
+    for group, entries in expected.items():
+        assert [(e.element, e.stereotype, e.origin, e.provenance.path)
+                for e in getattr(derived, group)] == entries
+    # then the lists, built in the given order
+    for eid in order:
+        assert [(_row(app), app.element) for app in effective[eid]] == \
+            [(_oracle_row(row), eid) for row in oracle[eid]]
+    assert dict(effective.items()) == {eid: effective[eid] for eid in order}
+
+
+def test_effective_map_on_hand_picked_cases():
+    text = specialization_model(
+        defs=[[], [0], [0], [2, 1], [3]],
+        usages=[(3, "", 0), (None, ":>>", 0), (None, ":> :>>", 0),
+                (None, ":>> :>", 0), (4, ":>", 1), (None, ":>>", 4)],
+        decorations={
+            "constants": "«IndeterminacySource<nd>» part def S { "
+                         "«IndeterminacySpecification» constraint C0; "
+                         "«IndeterminacySpecification» constraint C1; } ",
+            "D0": ("«IndeterminacySource<nd>» ", ""),
+            "D1": ("«Uncertainty<ocr>» ",
+                   "«IndeterminacySpecification» ref ::> S::C0;"),
+            "D2": ("«Uncertainty<ocr>» ",
+                   "«IndeterminacySpecification» ref ::> S::C1;"),
+            "u0": ("«Uncertainty<ocr, epi, subj>» ", "«Effect» ref ::> u4;"),
+            "u1": ("«Uncertainty<con>» ", ""),
+            "u3": ("«Uncertainty<con>» ", ""),
+            "u4": ("«Effect<con>» ", "«IndeterminacySpecification» ref ::> S::C1;"),
+            "u5": ("«Effect<con>» ", ""),
+        })
+    analysis = analyze_text(text)
+    model = analysis.model
+    assert not [d for d in analysis.findings if d.severity.value == "error"]
+    qn = model.resolve_qualified
+    effective = effective_stereotypes(model)
+    # equal-depth tie: D0 reaches D3 over D2 and D1, the first edge wins
+    [source] = [a for a in effective[qn("P::D3")]
+                if a.stereotype == INDETERMINACY_SOURCE]
+    assert source.provenance.path == ((EdgeKind.SUBCLASSIFICATION, qn("P::D2")),
+                                      (EdgeKind.SUBCLASSIFICATION, qn("P::D0")))
+    # redefinition override: u1 applies Uncertainty, so u0's are not carried
+    assert [(a.stereotype, a.provenance.origin)
+            for a in effective[qn("P::u1")]] == [
+        (UNCERTAINTY, qn("P::u1")), (INDETERMINACY_SOURCE, qn("P::D0"))]
+    # two edges of different kinds to one parent: u3's redefinition edge
+    # drops Uncertainty, its subsetting edge still carries it
+    assert [k for k, _ in [a for a in effective[qn("P::u3")]
+                           if a.provenance.origin == qn("P::u0")][0]
+            .provenance.path] == [EdgeKind.SUBSETTING]
+    order = [element.id for element in model.elements]
+    _check_against_oracle(model, order)
+    _check_against_oracle(model, order[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_effective_map_matches_eager_oracle_on_random_models(data):
+    size = data.draw(st.integers(1, 7), label="defs")
+    index = st.integers(0, size - 1)
+    defs = data.draw(st.lists(st.lists(index, max_size=3), min_size=size,
+                              max_size=size), label="specializes")
+    usages = data.draw(st.lists(st.tuples(
+        st.none() | index,
+        st.sampled_from(("", ":>", ":>>", ":> :>>", ":>> :>")),
+        st.integers(0, 4)), max_size=5), label="usages")
+    usages = [(typed, relation if other < len(usages) else "", other)
+              for typed, relation, other in usages]
+    names = [f"D{i}" for i in range(size)] + [f"u{j}"
+                                               for j in range(len(usages))]
+    decorations = {"constants": "«IndeterminacySource<nd>» part def S { "
+                                "«IndeterminacySpecification» constraint C0; "
+                                "«IndeterminacySpecification» constraint C1; } "}
+    for name in names:
+        applied = data.draw(st.sampled_from(_APPLIED), label=name)
+        refs = data.draw(st.lists(st.sampled_from(
+            ["«IndeterminacySpecification» ref ::> S::C0;",
+             "«IndeterminacySpecification» ref ::> S::C1;"]
+            + [f"«Effect» ref ::> u{j};" for j in range(len(usages))]),
+            max_size=2), label=f"{name} refs")
+        decorations[name] = (applied, " ".join(refs))
+    model = analyze_text(specialization_model(defs, usages, decorations)).model
+    order = [element.id for element in model.elements]
+    data.draw(st.randoms(use_true_random=False), label="order").shuffle(order)
+    _check_against_oracle(model, order)

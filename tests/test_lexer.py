@@ -166,3 +166,17 @@ def test_tokenizer_lossless_and_total_on_arbitrary_text(text):
     tokens, _ = tokenize(source)
     assert tokens[-1].kind is TokenKind.EOF
     assert reconstruct(source, tokens) == text
+
+
+def test_spans_hash_and_compare_by_file_identity():
+    source = SourceFile(path="x", content="abc")
+    span = source.span(0, 1)
+    assert hash(span) == hash(source.span(0, 1))
+    assert {span, source.span(0, 1), source.span(1, 3)} == \
+        {span, source.span(1, 3)}
+    tokens, _ = tokenize(source)
+    assert len({token.span for token in tokens}) == len(tokens)
+    # a model holds one object per file: another file with the same text
+    # and path is another file
+    twin = SourceFile(path="x", content="abc")
+    assert twin != source and twin.span(0, 1) != span

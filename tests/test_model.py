@@ -10,7 +10,8 @@ from psumlint.model import (INHERITANCE_KINDS, EdgeKind, ElementKind,
 
 from psumlint.source import SourceFile
 
-from conftest import ALL_FIXTURES, analyze_fixture, fixture_text
+from conftest import (ALL_FIXTURES, analyze_fixture, fixture_text,
+                      specialization_model)
 
 
 def qn(analysis, name):
@@ -168,19 +169,6 @@ def test_specialization_cycle_r003():
         assert element.id not in set(model.specialization_closure(element.id))
 
 
-def _specialization_model(defs, usages) -> str:
-    parts = []
-    for i, targets in enumerate(defs):
-        general = (" specializes " + ", ".join(f"D{t}" for t in targets)
-                   if targets else "")
-        parts.append(f"part def D{i}{general};")
-    for j, (typed, relation, other) in enumerate(usages):
-        typing = f" : D{typed}" if typed is not None else ""
-        related = f" {relation} u{other}" if relation else ""
-        parts.append(f"part u{j}{typing}{related};")
-    return "package P { " + " ".join(parts) + " }"
-
-
 def _breadth_first(parents: dict[int, list[int]], eid: int) -> tuple[int, ...]:
     order, seen, frontier = [], {eid}, [eid]
     while frontier:
@@ -215,7 +203,7 @@ def test_cycle_removal_and_closure_on_random_models(data):
         remove_cycles(builder)
 
     with mock.patch.object(_Builder, "remove_cycles", recording):
-        model = analyze_text(_specialization_model(defs, usages)).model
+        model = analyze_text(specialization_model(defs, usages)).model
     kept = {id(edge) for edge in model.edges}
     assert [edge for edge in declared if id(edge) in kept] == list(model.edges)
 
