@@ -1,8 +1,9 @@
-from psumlint.lexer import TokenKind, tokenize
 from psumlint.source import SourceFile
 from psumlint.syntax import Parser, parse_file
 
 from conftest import ALL_FIXTURES, fixture_text
+from test_golden import (DELIMITERS, deletion_mutants, load_parse_golden,
+                         parse_digest, parse_record)
 
 
 def parse(text: str, path: str = "<test>"):
@@ -137,27 +138,24 @@ def test_unsupported_construct_reports_p001():
 
 def test_parse_never_raises_and_returns_tree_on_token_deletion():
     # deleting any single token still yields a tree; deleting a structural
-    # delimiter always yields at least one diagnostic
-    delimiters = {";", "{", "}", "(", ")", "«", "»"}
+    # delimiter always yields at least one diagnostic; every mutant parses
+    # to the recorded tree and diagnostics
+    golden = load_parse_golden()["mutants"]
     for name in ALL_FIXTURES:
         text = fixture_text(name)
-        source = SourceFile(path=name, content=text)
-        tokens, _ = tokenize(source)
-        stride = 1 if len(tokens) < 300 else 3
-        for index, token in enumerate(tokens):
-            if token.kind is TokenKind.EOF:
-                continue
-            if index % stride and token.text not in delimiters:
-                continue
-            mutated = text[:token.span.start] + text[token.span.end:]
-            root, diags = parse(mutated, path="mutant")
-            assert root is not None
+        mutants = list(deletion_mutants(name, text))
+        assert len(mutants) == len(golden[name])
+        for (token, mutated), expected in zip(mutants, golden[name]):
+            record = parse_record(mutated, "mutant")
+            assert parse_digest(record) == expected, \
+                f"{name}: deleting {token.text!r} at {token.span.start}"
             if token.text == ";" and \
                     mutated[token.span.start:].lstrip()[:1] == "}":
                 continue  # a ';' directly before '}' is legitimately optional
-            if token.text in delimiters:
-                assert diags, (f"{name}: deleting {token.text!r} at "
-                               f"{index} gave no diagnostic")
+            if token.text in DELIMITERS:
+                assert record["diagnostics"], (
+                    f"{name}: deleting {token.text!r} at "
+                    f"{token.span.start} gave no diagnostic")
 
 
 def test_parse_determinism():
