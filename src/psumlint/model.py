@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -209,10 +209,11 @@ class Model:
     """The resolved model.
 
     ``build_model`` creates it when interning ends and resolves through it.
-    While relationships resolve, ``_resolve_on_demand`` resolves each element
-    a closure walks through, and nothing is cached: closures still grow and
-    still hold edges that cycle removal may drop. ``freeze`` indexes each
-    element's inheritance targets in ``_parents`` and starts the cache.
+    While relationships resolve, a closure search that reaches an element in
+    ``_unstarted`` raises ``_Unresolved`` so the builder resolves that
+    element first, and nothing is cached: closures still grow and still hold
+    edges that cycle removal may drop. ``freeze`` indexes each element's
+    inheritance targets in ``_parents`` and starts the cache.
     """
 
     files: tuple[SourceFile, ...]
@@ -231,7 +232,10 @@ class Model:
     #: element -> its distinct inheritance targets, in edge order; set by freeze
     _parents: dict[int, tuple[int, ...]] = field(default_factory=dict)
     _closure_cache: Optional[dict[int, tuple[int, ...]]] = None
-    _resolve_on_demand: Optional[Callable[[int], None]] = None
+    #: elements whose relationships the builder has not started resolving
+    _unstarted: set[int] = field(default_factory=set)
+    #: element -> its interrupted closure search (queue, seen, next index)
+    _resume: dict[int, tuple] = field(default_factory=dict)
 
     def out_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         return self._out.get(eid, ())
@@ -245,26 +249,24 @@ class Model:
         """Transitive specialization targets, nearest first, self excluded.
 
         A breadth-first search over inheritance edges; after ``freeze`` each
-        result is cached.
+        result is cached. Before, it raises ``_Unresolved`` at an element
+        whose relationships have not started, and a search in ``_resume``
+        goes on from where it was interrupted.
         """
         cache = self._closure_cache
         if cache is not None and eid in cache:
             return cache[eid]
-        order: list[int] = []
-        seen = {eid}
-        frontier = [eid]
-        while frontier:
-            nxt: list[int] = []
-            for node in frontier:
-                if self._resolve_on_demand is not None:
-                    self._resolve_on_demand(node)
-                for edge in self.out_edges(node):
-                    if edge.kind in INHERITANCE_KINDS and edge.target not in seen:
-                        seen.add(edge.target)
-                        order.append(edge.target)
-                        nxt.append(edge.target)
-            frontier = nxt
-        result = tuple(order)
+        queue, seen, index = self._resume.pop(eid, None) or ([eid], {eid}, 0)
+        while index < len(queue):
+            node = queue[index]
+            if node in self._unstarted:
+                raise _Unresolved(node, eid, (queue, seen, index))
+            for edge in self.out_edges(node):
+                if edge.kind in INHERITANCE_KINDS and edge.target not in seen:
+                    seen.add(edge.target)
+                    queue.append(edge.target)
+            index += 1
+        result = tuple(queue[1:])
         if cache is not None:
             cache[eid] = result
         return result
@@ -338,6 +340,12 @@ class Model:
         return self.resolve(name, None)
 
 
+class _Unresolved(Exception):
+    """A closure search reached an element whose relationships have not
+    started resolving. The arguments are that element, the element whose
+    closure was searched, and the search's state to resume from."""
+
+
 def metaclass_category_of_kind(kind: ElementKind) -> MetaclassCategory:
     return _CATEGORY_BY_KIND[kind]
 
@@ -408,8 +416,6 @@ class _Builder:
         self.imports: dict[int, list[tuple[NamePath, bool]]] = {}
         self.owned: dict[int, list[int]] = {}
         self.member_map: dict[int, dict[str, int]] = {}
-        self.resolving: set[int] = set()
-        self.resolved: set[int] = set()
         self.model: Optional[Model] = None
 
     # ---- interning ----------------------------------------------------------
@@ -570,64 +576,68 @@ class _Builder:
         self.model.imports = {k: tuple(v) for k, v in resolved.items()}
 
     def resolve_relationships(self) -> None:
-        self.model._resolve_on_demand = self.ensure_resolved
-        for eid in range(len(self.elements)):
-            self.ensure_resolved(eid)
+        """Resolve every element's relationships, in declaration order.
 
-    def resolve_relationship(self, eid: int, path: NamePath, kind: EdgeKind,
-                             conjugated: bool = False) -> Optional[list[int]]:
+        A lookup that reaches an element whose relationships have not
+        started raises ``_Unresolved``. That element goes on an explicit
+        stack and is resolved first; then the interrupted relationship is
+        retried. Lookups have no side effects before they return, so a
+        retry is safe. Started elements stay visible with the edges they
+        have so far, so a cycle still resolves and R003 reports it. Until
+        the retry only elements above the interrupted one run, and they add
+        edges only from elements that were not started, which the
+        interrupted search has not read; so the retry resumes that search.
+        """
+        model = self.model
+        model._unstarted.update(eid for eid, element in enumerate(self.elements)
+                                if element.ast is not None)
+        for eid in range(len(self.elements)):
+            if eid not in model._unstarted:
+                continue
+            stack = [self._start(eid)]
+            while stack:
+                source, todo, resume = stack[-1]
+                if not todo:
+                    stack.pop()
+                    continue
+                model._resume = resume
+                try:
+                    self.resolve_relationship(source, *todo[-1])
+                except _Unresolved as blocked:
+                    node, searched, search = blocked.args
+                    resume[searched] = search
+                    stack.append(self._start(node))
+                    continue
+                todo.pop()
+        model._resume = {}
+
+    def _start(self, eid: int) -> tuple[int, list, dict]:
+        """Mark an element started; returns it, its relationships with the
+        next one to resolve last, and the searches its retry resumes."""
+        self.model._unstarted.discard(eid)
+        return eid, _relationships(self.elements[eid].ast)[::-1], {}
+
+    def resolve_relationship(self, eid: int, path: NamePath,
+                             kind: Optional[EdgeKind], conjugated: bool) -> None:
+        """Resolve one name of an element into an edge of ``kind``, or with
+        ``kind`` None into its ``about`` target."""
         ids, failing = self.model.lookup(path.segments, eid, exclude=eid)
+        element = self.elements[eid]
+        if kind is None:
+            if ids:
+                element.about_target = ids[-1]
+            return
         if ids is None:
             self.diagnostics.append(diagnostics.make(
                 "R001", path.span,
                 f"cannot resolve {failing!r} in {path.text!r}"))
-            return None
+            return
         edge = SpecializationEdge(source=eid, target=ids[-1], kind=kind,
                                   span=path.span, conjugated=conjugated)
         self.edges.append(edge)
         self.model._out.setdefault(eid, []).append(edge)
-        return ids
-
-    def ensure_resolved(self, eid: int) -> None:
-        if eid in self.resolved or eid in self.resolving:
-            return
-        self.resolving.add(eid)
-        try:
-            node = self.elements[eid].ast
-            if node is not None:
-                self.resolve_node_relationships(eid, node)
-        finally:
-            self.resolving.discard(eid)
-            self.resolved.add(eid)
-
-    def resolve_node_relationships(self, eid: int, node: AstNode) -> None:
-        for ref in node.attr("specializes", ()) or ():
-            self.resolve_relationship(eid, ref.path, EdgeKind.SUBCLASSIFICATION)
-        for ref in node.attr("specializes_list", ()) or ():
-            self.resolve_relationship(eid, ref.path, EdgeKind.SUBCLASSIFICATION)
-        typing = node.attr("typing")
-        if typing is not None:
-            self.resolve_relationship(eid, typing.path, EdgeKind.FEATURE_TYPING,
-                                      conjugated=typing.conjugated)
-        ref_targets: list[RefTarget] = []
-        for path in node.attr("subsets", ()) or ():
-            self.resolve_relationship(eid, path, EdgeKind.SUBSETTING)
-        for path in node.attr("redefines", ()) or ():
-            ids = self.resolve_relationship(eid, path, EdgeKind.REDEFINITION)
-            if ids:
-                ref_targets.append(_make_ref_target(ids, path, EdgeKind.REDEFINITION))
-        for path in node.attr("refsubsets", ()) or ():
-            ids = self.resolve_relationship(eid, path, EdgeKind.REFERENCE_SUBSETTING)
-            if ids:
-                ref_targets.append(_make_ref_target(
-                    ids, path, EdgeKind.REFERENCE_SUBSETTING))
-        if ref_targets:
-            self.elements[eid].ref_targets = tuple(ref_targets)
-        about = node.attr("about")
-        if about is not None:
-            ids, _failing = self.model.lookup(about.segments, eid, exclude=eid)
-            if ids:
-                self.elements[eid].about_target = ids[-1]
+        if kind in (EdgeKind.REDEFINITION, EdgeKind.REFERENCE_SUBSETTING):
+            element.ref_targets += (_make_ref_target(ids, path, kind),)
 
     # ---- acyclicity ----------------------------------------------------------
 
@@ -689,9 +699,30 @@ class _Builder:
         model.edges = tuple(self.edges)
         model._out = {k: tuple(v) for k, v in out.items()}
         model._parents = {k: tuple(v) for k, v in parents.items()}
-        model._resolve_on_demand = None
         model._closure_cache = {}
         return model
+
+
+_PATH_RELATIONSHIPS = (("subsets", EdgeKind.SUBSETTING),
+                       ("redefines", EdgeKind.REDEFINITION),
+                       ("refsubsets", EdgeKind.REFERENCE_SUBSETTING))
+
+
+def _relationships(node: AstNode) -> list[tuple[NamePath, Optional[EdgeKind], bool]]:
+    """The names an element's node resolves, in resolution order, as (path,
+    edge kind, conjugated); the ``about`` target has no edge kind."""
+    attrs = node.attrs
+    todo = [(ref.path, EdgeKind.SUBCLASSIFICATION, False)
+            for name in ("specializes", "specializes_list") for ref in attrs.get(name) or ()]
+    typing = attrs.get("typing")
+    if typing is not None:
+        todo.append((typing.path, EdgeKind.FEATURE_TYPING, typing.conjugated))
+    for name, kind in _PATH_RELATIONSHIPS:
+        todo += [(path, kind, False) for path in attrs.get(name) or ()]
+    about = attrs.get("about")
+    if about is not None:
+        todo.append((about, None, False))
+    return todo
 
 
 def _make_ref_target(ids: list[int], path: NamePath, relation: EdgeKind) -> RefTarget:

@@ -13,9 +13,10 @@ tree is always returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Union
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -124,45 +125,24 @@ class AstNode:
 
     def structure(self):
         """Hashable structural digest, used by determinism checks."""
-        def norm(v):
-            if isinstance(v, AstNode):
-                return v.structure()
-            if isinstance(v, (list, tuple)):
-                return tuple(norm(x) for x in v)
-            if isinstance(v, dict):
-                return tuple(sorted((k, norm(x)) for k, x in v.items()))
-            if isinstance(v, Span):
-                return (v.start, v.end)
-            if isinstance(v, (NamePath, TypeRef, Value, AnnotationClause,
-                              AnnotationEntry, Expr)):
-                return repr_structural(v)
-            if isinstance(v, (SendClause, AcceptClause)):
-                return (type(v).__name__,
-                        tuple(norm(getattr(v, f.name)) for f in fields(v)))
-            return v
-        return (self.kind, norm(self.attrs), tuple(c.structure() for c in self.children))
+        return (self.kind, _structural(self.attrs),
+                tuple(c.structure() for c in self.children))
 
 
-def repr_structural(obj) -> str:
-    if isinstance(obj, NamePath):
-        return f"path:{obj.text}"
-    if isinstance(obj, TypeRef):
-        return f"type:{'~' if obj.conjugated else ''}{obj.path.text}[{obj.multiplicity}]"
-    if isinstance(obj, Value):
-        return f"value:{obj.kind}:{obj.magnitude}:{obj.unit}:{obj.path.text if obj.path else obj.string}"
-    if isinstance(obj, AnnotationEntry):
-        return f"ann:{obj.name}<{','.join(obj.codes)}>"
-    if isinstance(obj, AnnotationClause):
-        return "clause:" + ";".join(repr_structural(e) for e in obj.entries)
-    if isinstance(obj, Operand):
-        return "op:" + repr_structural(obj.value)
-    if isinstance(obj, Comparison):
-        return f"cmp:{obj.op}({repr_structural(obj.left)},{repr_structural(obj.right)})"
-    if isinstance(obj, BoolOp):
-        return f"{obj.op}(" + ",".join(repr_structural(i) for i in obj.items) + ")"
-    if isinstance(obj, NotOp):
-        return f"not({repr_structural(obj.item)})"
-    return repr(obj)
+def _structural(value):
+    """Hashable form of an attribute value; a dataclass goes by its fields."""
+    if isinstance(value, AstNode):
+        return value.structure()
+    if isinstance(value, Span):
+        return (value.start, value.end)
+    if isinstance(value, (list, tuple)):
+        return tuple(_structural(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _structural(v)) for k, v in value.items()))
+    if is_dataclass(value):
+        return (type(value).__name__,
+                tuple(_structural(getattr(value, f.name)) for f in fields(value)))
+    return value
 
 
 @dataclass(frozen=True)
@@ -232,6 +212,8 @@ class _Cursor:
 
 MAX_BODY_NESTING = 100
 
+_NAME_KINDS = (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER)
+
 
 class Parser:
     def __init__(self, source: SourceFile):
@@ -245,15 +227,15 @@ class Parser:
     # -- helpers ------------------------------------------------------------
 
     def _at(self, text: str) -> bool:
-        tok = self.cur.peek()
-        return tok.text == text and tok.kind in (
-            TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION)
+        # every text asked about is a keyword, operator or punctuation, and
+        # no identifier, literal or bracket token lexes to one of those
+        return self.cur.peek().text == text
 
     def _at_kind(self, kind: TokenKind) -> bool:
         return self.cur.peek().kind == kind
 
     def _at_name(self) -> bool:
-        return self.cur.peek().kind in (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER)
+        return self.cur.peek().kind in _NAME_KINDS
 
     def _eat(self, text: str) -> Optional[Token]:
         if self._at(text):
@@ -270,23 +252,28 @@ class Parser:
     def _error(self, code: str, span: Span, message: str) -> None:
         self.diagnostics.append(diagnostics.make(code, span, message))
 
-    def _recover(self) -> None:
-        """Skip to the next ``;`` at this nesting level, or stop before ``}``."""
+    def _skip(self, to_semicolon: bool) -> Token:
+        """Skip over balanced braces to the first ``}`` of this level or EOF,
+        left unconsumed, or with ``to_semicolon`` to a ``;`` of this level,
+        consumed. Returns the token the skip stopped at."""
         depth = 0
         while True:
             tok = self.cur.peek()
             if tok.kind == TokenKind.EOF:
-                return
+                return tok
             if tok.text == "{":
                 depth += 1
             elif tok.text == "}":
                 if depth == 0:
-                    return
+                    return tok
                 depth -= 1
-            elif tok.text == ";" and depth == 0:
-                self.cur.advance()
-                return
+            elif tok.text == ";" and depth == 0 and to_semicolon:
+                return self.cur.advance()
             self.cur.advance()
+
+    def _recover(self) -> None:
+        """Skip to the next ``;`` at this nesting level, or stop before ``}``."""
+        self._skip(to_semicolon=True)
 
     def _name_token(self, context: str) -> Optional[Token]:
         if self._at_name():
@@ -298,28 +285,43 @@ class Parser:
     def _ident_value(self, tok: Token) -> str:
         return tok.value if tok.kind == TokenKind.QUOTED_IDENTIFIER else tok.text
 
-    def _attach_trivia(self, node: AstNode) -> AstNode:
+    def _header(self, node: AstNode, annotation: Optional[AnnotationClause] = None,
+                **attrs) -> AstNode:
+        """Attach the annotation, widening the span over it, then those of
+        ``attrs`` that are set, then the comment trivia read so far."""
+        if annotation:
+            node.attrs["annotation"] = annotation
+            node.span = cover(annotation.span, node.span)
+        node.attrs.update((name, value) for name, value in attrs.items() if value)
         trivia = self.cur.take_trivia()
         if trivia:
             node.attrs["trivia"] = tuple(t.text for t in trivia)
         return node
 
+    def _parse_clauses(self, table: dict, attrs: dict,
+                       node: Optional[AstNode] = None) -> dict:
+        """Parse clauses, in any order, while the current token opens one
+        of ``table``'s; each entry is called with ``attrs`` and ``node``."""
+        while (clause := table.get(self.cur.peek().text)) is not None:
+            clause(self, attrs, node)
+        return attrs
+
     # -- paths, types, values -----------------------------------------------
 
     def parse_path(self, context: str) -> Optional[NamePath]:
         first = self._name_token(context)
-        if first is None:
-            return None
+        return None if first is None else self._path_from(first)
+
+    def _path_from(self, first: Token) -> NamePath:
+        """The path that begins with the name ``first``, already consumed."""
         segments = [self._ident_value(first)]
-        start_span = first.span
         end_span = first.span
-        while (self._at(".") or self._at("::")) and self.cur.peek(1).kind in (
-                TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER):
+        while self.cur.peek().text in (".", "::") and self.cur.peek(1).kind in _NAME_KINDS:
             self.cur.advance()
             seg = self.cur.advance()
             segments.append(self._ident_value(seg))
             end_span = seg.span
-        return NamePath(tuple(segments), cover(start_span, end_span))
+        return NamePath(tuple(segments), cover(first.span, end_span))
 
     def parse_type_ref(self, context: str) -> Optional[TypeRef]:
         conjugated = bool(self._eat("~"))
@@ -330,6 +332,14 @@ class Parser:
         if self._at_kind(TokenKind.MULTIPLICITY_BRACKET):
             multiplicity = self.cur.advance().value
         return TypeRef(path=path, conjugated=conjugated, multiplicity=multiplicity)
+
+    def parse_typing(self, context: Optional[str] = None) -> Optional[TypeRef]:
+        """The type of a ``:`` or ``defined by`` clause, from its first
+        token; ``context`` replaces the clause's own wording in errors."""
+        if self.cur.advance().text == "defined":
+            self._expect("by", "in 'defined by'")
+            return self.parse_type_ref(context or "after 'defined by'")
+        return self.parse_type_ref(context or "after ':'")
 
     def parse_value(self, context: str) -> Optional[Value]:
         tok = self.cur.peek()
@@ -348,10 +358,8 @@ class Parser:
         if tok.text in ("true", "false") and tok.kind == TokenKind.KEYWORD:
             self.cur.advance()
             return Value(kind="boolean", span=tok.span, string=tok.text)
-        if tok.kind in (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER):
+        if tok.kind in _NAME_KINDS:
             path = self.parse_path(context)
-            if path is None:
-                return None
             return Value(kind="name", span=path.span, path=path)
         self._error("P002", tok.span, f"expected a value {context}, found {tok.text!r}")
         return None
@@ -421,69 +429,61 @@ class Parser:
                 self._error("P001", tok.span,
                             f"unsupported construct at top level: {tok.text!r}")
                 self._recover()
-                if self._at("}"):
-                    self.cur.advance()
+                self._eat("}")
         return root
 
     def parse_package(self, annotation: Optional[AnnotationClause]) -> AstNode:
         start = self.cur.advance()  # 'package'
         name_tok = self._name_token("after 'package'")
-        node = AstNode(kind="Package", span=start.span,
-                       attrs={"name": self._ident_value(name_tok) if name_tok else None})
-        if annotation:
-            node.attrs["annotation"] = annotation
-            node.span = cover(annotation.span, node.span)
-        self._attach_trivia(node)
+        node = self._header(AstNode(kind="Package", span=start.span, attrs={
+            "name": self._ident_value(name_tok) if name_tok else None,
+        }), annotation)
         if self._expect("{", "to open the package body"):
-            close = self.parse_body_into(node, body_kind="general")
-            node.span = cover(start.span, close)
+            close = self.parse_block(node, partial(self.parse_statement, "general"), "body")
+            node.span = cover(start.span, close or self.cur.peek().span)
         return node
 
-    # -- bodies ---------------------------------------------------------------
+    # -- blocks -----------------------------------------------------------------
 
-    def parse_body_into(self, node: AstNode, body_kind: str) -> None:
-        """Parse statements until the matching ``}`` (already past ``{``).
+    def parse_block(self, node: AstNode, item: Callable[[], Union[AstNode, None, bool]],
+                    what: str, where: str = "") -> Optional[Span]:
+        """Parse items into ``node`` up to the matching ``}`` (already past
+        ``{``); returns the span of the ``}``, or None at EOF.
 
-        Returns the span of the closing brace so callers can finish the
-        owning node's span exactly.
+        ``item()`` parses one item at the current token: it returns the
+        item's node, None when it adds no node, or False when the token
+        starts no item; then the loop reports ``unexpected token`` followed
+        by ``where``. A block nested deeper than MAX_BODY_NESTING is
+        reported and skipped.
         """
         if self.body_depth >= MAX_BODY_NESTING:
             self._error("P001", self.cur.peek().span,
                         f"nesting deeper than {MAX_BODY_NESTING} levels")
-            return self._skip_balanced_body()
+            closer = self._skip(to_semicolon=False)
+            return self.cur.advance().span if closer.text == "}" else None
         self.body_depth += 1
         try:
             while True:
                 tok = self.cur.peek()
                 if tok.kind == TokenKind.EOF:
-                    self._error("P002", tok.span, "body is never closed")
-                    return tok.span
-                if self._at("}"):
+                    self._error("P002", tok.span, f"{what} is never closed")
+                    return None
+                if tok.text == "}":
                     return self.cur.advance().span
-                stmt = self.parse_statement(body_kind)
-                if stmt is not None:
-                    node.children.append(stmt)
+                if tok.text == ";":
+                    self.cur.advance()
+                    continue
+                child = item()
+                if child is False:
+                    tok = self.cur.peek()
+                    self._error("P002", tok.span, f"unexpected token {tok.text!r}{where}")
+                    self._recover()
+                elif child is not None:
+                    node.children.append(child)
         finally:
             self.body_depth -= 1
 
-    def _skip_balanced_body(self) -> Span:
-        depth = 0
-        while True:
-            tok = self.cur.peek()
-            if tok.kind == TokenKind.EOF:
-                return tok.span
-            if tok.text == "{":
-                depth += 1
-            elif tok.text == "}":
-                if depth == 0:
-                    return self.cur.advance().span
-                depth -= 1
-            self.cur.advance()
-
-    def parse_statement(self, body_kind: str) -> Optional[AstNode]:
-        if self._at(";"):
-            self.cur.advance()
-            return None
+    def parse_statement(self, body_kind: str) -> Union[AstNode, None, bool]:
         annotation = self.parse_annotation()
         tok = self.cur.peek()
 
@@ -514,8 +514,8 @@ class Parser:
                 return self.parse_expression_statement()
             return self.parse_member(annotation, visibility=None)
 
-        if tok.kind in (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER):
-            if self.cur.peek(1).text == "=" and self.cur.peek(1).kind == TokenKind.OPERATOR:
+        if tok.kind in _NAME_KINDS:
+            if self.cur.peek(1).text == "=":
                 return self.parse_body_property()
             if body_kind == "constraint":
                 return self.parse_expression_statement()
@@ -526,10 +526,7 @@ class Parser:
         if body_kind == "constraint" and (
                 tok.kind == TokenKind.NUMBER or tok.text in ("(", "not", "true", "false")):
             return self.parse_expression_statement()
-
-        self._error("P002", tok.span, f"unexpected token {tok.text!r}")
-        self._recover()
-        return None
+        return False
 
     def parse_member(self, annotation: Optional[AnnotationClause],
                      visibility: Optional[str]) -> Optional[AstNode]:
@@ -590,24 +587,17 @@ class Parser:
                          keyword: str) -> AstNode:
         start_span = self.cur.peek().span
         name_tok = self._name_token(f"after '{keyword} def'")
-        node = AstNode(kind="Definition", span=start_span, attrs={
+        node = self._header(AstNode(kind="Definition", span=start_span, attrs={
             "keyword": keyword,
             "name": self._ident_value(name_tok) if name_tok else None,
-        })
-        if annotation:
-            node.attrs["annotation"] = annotation
-            node.span = cover(annotation.span, node.span)
-        self._attach_trivia(node)
+        }), annotation)
         if self._at_kind(TokenKind.MULTIPLICITY_BRACKET):
             node.attrs["multiplicity"] = self.cur.advance().value
         specializes: list[TypeRef] = []
-        while self._at("specializes"):
-            self.cur.advance()
-            ref = self.parse_type_ref("after 'specializes'")
-            if ref:
-                specializes.append(ref)
-            while self._eat(","):
-                ref = self.parse_type_ref("after ','")
+        if self._at("specializes"):
+            # one or more 'specializes' clauses, each a ','-separated list
+            while self._at("specializes") or self._at(","):
+                ref = self.parse_type_ref(f"after {self.cur.advance().text!r}")
                 if ref:
                     specializes.append(ref)
         if specializes:
@@ -620,133 +610,53 @@ class Parser:
                     visibility: Optional[str], direction: Optional[str],
                     modifiers: list[str], keyword: Optional[str],
                     inline: bool = False) -> AstNode:
-        start_span = self.cur.peek().span
-        node = AstNode(kind="Usage", span=start_span, attrs={"keyword": keyword})
-        if annotation:
-            node.attrs["annotation"] = annotation
-            node.span = cover(annotation.span, node.span)
-        if visibility:
-            node.attrs["visibility"] = visibility
-        if direction:
-            node.attrs["direction"] = direction
-        if modifiers:
-            node.attrs["modifiers"] = tuple(modifiers)
-        self._attach_trivia(node)
-
+        node = self._header(
+            AstNode(kind="Usage", span=self.cur.peek().span, attrs={"keyword": keyword}),
+            annotation, visibility=visibility, direction=direction,
+            modifiers=tuple(modifiers))
         if self._at_name():
             name_tok = self.cur.advance()
-            node.attrs["name"] = self._ident_value(name_tok)
             if self._at(".") or self._at("::"):
                 # the "name" begins a multi-segment reference target,
                 # e.g. "require a.b;"
-                segments = [node.attrs.pop("name")]
-                end_span = name_tok.span
-                while (self._at(".") or self._at("::")) and self.cur.peek(1).kind in (
-                        TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER):
-                    self.cur.advance()
-                    seg = self.cur.advance()
-                    segments.append(self._ident_value(seg))
-                    end_span = seg.span
-                node.attrs["target"] = NamePath(tuple(segments),
-                                                cover(name_tok.span, end_span))
+                node.attrs["target"] = self._path_from(name_tok)
+            else:
+                node.attrs["name"] = self._ident_value(name_tok)
         if self._at_kind(TokenKind.MULTIPLICITY_BRACKET):
             node.attrs["multiplicity"] = self.cur.advance().value
-
-        while True:
-            if self._at("defined"):
-                self.cur.advance()
-                self._expect("by", "in 'defined by'")
-                ref = self.parse_type_ref("after 'defined by'")
-                if ref:
-                    node.attrs["typing"] = ref
-                continue
-            if self._at(":") and not self._at("::>"):
-                self.cur.advance()
-                ref = self.parse_type_ref("after ':'")
-                if ref:
-                    node.attrs["typing"] = ref
-                continue
-            if self._at("specializes"):
-                self.cur.advance()
-                ref = self.parse_type_ref("after 'specializes'")
-                if ref:
-                    node.attrs.setdefault("specializes_list", []).append(ref)
-                continue
-            if self._at(":>"):
-                self.cur.advance()
-                path = self.parse_path("after ':>'")
-                if path:
-                    node.attrs.setdefault("subsets", []).append(path)
-                continue
-            if self._at(":>>") or self._at("redefines"):
-                self.cur.advance()
-                path = self.parse_path("after redefinition")
-                if path:
-                    node.attrs.setdefault("redefines", []).append(path)
-                continue
-            if self._at("::>"):
-                self.cur.advance()
-                path = self.parse_path("after '::>'")
-                if path:
-                    node.attrs.setdefault("refsubsets", []).append(path)
-                continue
-            break
-
-        # action clauses: send / accept / via / to, in any order
-        while True:
-            if self._at("send"):
-                node.attrs["send"] = self.parse_send()
-                continue
-            if self._at("accept"):
-                node.attrs["accept"] = self.parse_accept()
-                continue
-            if self._at("via"):
-                self.cur.advance()
-                node.attrs["via"] = self.parse_path("after 'via'")
-                continue
-            if self._at("to"):
-                self.cur.advance()
-                node.attrs["to"] = self.parse_path("after 'to'")
-                continue
-            break
-
-        if self._at("=") :
-            self.cur.advance()
+        # relationship clauses, then action clauses, each in any order
+        self._parse_clauses(_USAGE_RELATIONSHIPS, node.attrs)
+        self._parse_clauses(_USAGE_ACTIONS, node.attrs)
+        if self._eat("="):
             value = self.parse_value("after '='")
             if value:
                 node.attrs["initializer"] = value
-        if self._at("parallel"):
-            self.cur.advance()
+        if self._eat("parallel"):
             node.attrs["parallel"] = True
-
         body_kind = "constraint" if (keyword == "constraint" or "assume" in modifiers) \
             else "general"
-        if inline:
-            # clause-embedded usage (e.g. a transition's "do action X : T"):
-            # an optional body, but no ';' terminator of its own
-            if self._at("{"):
-                self.cur.advance()
-                close = self.parse_body_into(node, body_kind=body_kind)
-                node.span = cover(node.span, close)
-            elif self._at(";"):
-                node.span = cover(node.span, self.cur.advance().span)
-            return node
-        self._finish_declaration(node, body_kind=body_kind)
+        # a clause-embedded usage (e.g. a transition's "do action X : T") has
+        # an optional body, but no ';' terminator of its own
+        self._finish_declaration(node, body_kind=body_kind, required=not inline)
         return node
 
-    def _finish_declaration(self, node: AstNode, body_kind: str) -> None:
+    def _usage_typing(self, attrs: dict, _node) -> None:
+        ref = self.parse_typing()
+        if ref:
+            attrs["typing"] = ref
+
+    def _finish_declaration(self, node: AstNode, body_kind: str,
+                            required: bool = True) -> None:
         if self._at(";"):
             node.span = cover(node.span, self.cur.advance().span)
-            return
-        if self._at("{"):
-            self.cur.advance()
-            close = self.parse_body_into(node, body_kind=body_kind)
-            node.span = cover(node.span, close)
-            return
-        tok = self.cur.peek()
-        self._error("P002", tok.span,
-                    f"expected ';' or '{{' to finish the declaration, found {tok.text!r}")
-        self._recover()
+        elif self._eat("{"):
+            close = self.parse_block(node, partial(self.parse_statement, body_kind), "body")
+            node.span = cover(node.span, close or self.cur.peek().span)
+        elif required:
+            tok = self.cur.peek()
+            self._error("P002", tok.span,
+                        f"expected ';' or '{{' to finish the declaration, found {tok.text!r}")
+            self._recover()
 
     # -- specific statement forms -------------------------------------------
 
@@ -754,18 +664,16 @@ class Parser:
         start = self.cur.advance()  # 'import'
         path = self.parse_path("after 'import'")
         wildcard = False
-        if self._at("::"):
-            self.cur.advance()
+        if self._eat("::"):
             if self._eat("*"):
                 wildcard = True
             else:
                 self._error("P002", self.cur.peek().span, "expected '*' after '::'")
         elif self._eat("*"):
             wildcard = True
-        node = AstNode(kind="Import", span=start.span, attrs={
+        node = self._header(AstNode(kind="Import", span=start.span, attrs={
             "target": path, "wildcard": wildcard, "visibility": visibility,
-        })
-        self._attach_trivia(node)
+        }))
         self._expect(";", "after import")
         return node
 
@@ -784,13 +692,11 @@ class Parser:
 
     def parse_entry(self) -> AstNode:
         start = self.cur.advance()  # 'entry'
-        node = AstNode(kind="EntryAction", span=start.span)
-        self._attach_trivia(node)
+        node = self._header(AstNode(kind="EntryAction", span=start.span))
         if self._eat(";"):
             return node
         annotation = self.parse_annotation()
-        if self._at("action"):
-            self.cur.advance()
+        if self._eat("action"):
             node.children.append(self.parse_usage(annotation, None, None,
                                                   ["entry"], keyword="action"))
         else:
@@ -802,8 +708,7 @@ class Parser:
 
     def parse_succession(self) -> AstNode:
         start = self.cur.advance()  # 'then'
-        node = AstNode(kind="SuccessionThen", span=start.span)
-        self._attach_trivia(node)
+        node = self._header(AstNode(kind="SuccessionThen", span=start.span))
         annotation = self.parse_annotation()
         if annotation or (self.cur.peek().kind == TokenKind.KEYWORD
                           and self.cur.peek().text in DEF_KEYWORDS):
@@ -818,11 +723,7 @@ class Parser:
 
     def parse_transition(self, annotation: Optional[AnnotationClause]) -> AstNode:
         start = self.cur.advance()  # 'transition'
-        node = AstNode(kind="Transition", span=start.span)
-        if annotation:
-            node.attrs["annotation"] = annotation
-            node.span = cover(annotation.span, node.span)
-        self._attach_trivia(node)
+        node = self._header(AstNode(kind="Transition", span=start.span), annotation)
         if self._at_name():
             name_tok = self.cur.advance()
             if self._at("then"):
@@ -831,46 +732,24 @@ class Parser:
                                                name_tok.span)
             else:
                 node.attrs["name"] = self._ident_value(name_tok)
-        while True:
-            if self._at("first"):
-                self.cur.advance()
-                node.attrs["first"] = self.parse_path("after 'first'")
-                continue
-            if self._at("accept"):
-                node.attrs["accept"] = self.parse_accept()
-                continue
-            if self._at("via"):
-                self.cur.advance()
-                node.attrs["via"] = self.parse_path("after 'via'")
-                continue
-            if self._at("if"):
-                self.cur.advance()
-                node.attrs["guard"] = self.parse_expression()
-                continue
-            if self._at("do"):
-                self.cur.advance()
-                if self._at("send"):
-                    node.attrs["do_send"] = self.parse_send()
-                elif self._at("action"):
-                    self.cur.advance()
-                    node.children.append(self.parse_usage(None, None, None, ["do"],
-                                                          keyword="action",
-                                                          inline=True))
-                else:
-                    tok = self.cur.peek()
-                    self._error("P002", tok.span,
-                                f"expected 'send' or 'action' after 'do', found {tok.text!r}")
-                continue
-            if self._at("then"):
-                self.cur.advance()
-                node.attrs["then"] = self.parse_path("after 'then'")
-                continue
-            break
+        self._parse_clauses(_TRANSITION_CLAUSES, node.attrs, node)
         self._finish_declaration(node, body_kind="general")
         return node
 
+    def _transition_do(self, attrs: dict, node: AstNode) -> None:
+        self.cur.advance()  # 'do'
+        if self._eat("send"):
+            attrs["do_send"] = self.parse_send()
+        elif self._eat("action"):
+            node.children.append(self.parse_usage(None, None, None, ["do"],
+                                                  keyword="action", inline=True))
+        else:
+            tok = self.cur.peek()
+            self._error("P002", tok.span,
+                        f"expected 'send' or 'action' after 'do', found {tok.text!r}")
+
     def parse_send(self) -> SendClause:
-        self.cur.advance()  # 'send'
+        """The clause after ``send``: signal, arguments, ``via`` and ``to``."""
         signal = self.parse_path("after 'send'")
         args: list[Expr] = []
         if self._eat("("):
@@ -881,132 +760,79 @@ class Parser:
                 if not self._eat(","):
                     break
             self._expect(")", "to close the argument list")
-        via = to = None
-        while True:
-            if self._at("via"):
-                self.cur.advance()
-                via = self.parse_path("after 'via'")
-                continue
-            if self._at("to"):
-                self.cur.advance()
-                to = self.parse_path("after 'to'")
-                continue
-            break
-        return SendClause(signal=signal, args=tuple(args), via=via, to=to)
+        return SendClause(signal=signal, args=tuple(args),
+                          **self._parse_clauses(_SEND_CLAUSES, {}))
 
     def parse_accept(self) -> AcceptClause:
-        self.cur.advance()  # 'accept'
-        if self._at("at"):
-            self.cur.advance()
+        """The clause after ``accept``: ``at`` a time, or a payload or a
+        typed parameter, then an optional ``via``."""
+        if self._eat("at"):
             return AcceptClause(at=self.parse_path("after 'accept at'"))
         first = self.parse_path("after 'accept'")
-        param_name = None
-        typing = None
-        payload = None
-        if self._at("defined") or (self._at(":") and not self._at("::>")):
-            if self._at("defined"):
-                self.cur.advance()
-                self._expect("by", "in 'defined by'")
-            else:
-                self.cur.advance()
-            typing = self.parse_type_ref("in accept parameter typing")
-            param_name = first.segments[0] if first and len(first.segments) == 1 else None
-        else:
-            payload = first
-        via = None
-        if self._at("via"):
-            self.cur.advance()
-            via = self.parse_path("after 'via'")
-        return AcceptClause(param_name=param_name, typing=typing, payload=payload, via=via)
+        if not (self._at("defined") or self._at(":")):
+            return AcceptClause(payload=first, via=self._via())
+        typing = self.parse_typing("in accept parameter typing")
+        param_name = first.segments[0] if first and len(first.segments) == 1 else None
+        return AcceptClause(param_name=param_name, typing=typing, via=self._via())
+
+    def _via(self) -> Optional[NamePath]:
+        return self.parse_path("after 'via'") if self._eat("via") else None
 
     def parse_metadata(self, annotation: Optional[AnnotationClause]) -> AstNode:
         start = self.cur.advance()  # 'metadata'
-        node = AstNode(kind="MetadataUsage", span=start.span)
-        if annotation:
-            node.attrs["annotation"] = annotation
-            node.span = cover(annotation.span, node.span)
-        self._attach_trivia(node)
+        node = self._header(AstNode(kind="MetadataUsage", span=start.span), annotation)
         if self._at_name():
             node.attrs["name"] = self._ident_value(self.cur.advance())
-        if self._at("defined"):
-            self.cur.advance()
-            self._expect("by", "in 'defined by'")
-            node.attrs["typing"] = self.parse_type_ref("after 'defined by'")
-        elif self._at(":") and not self._at("::>"):
-            self.cur.advance()
-            node.attrs["typing"] = self.parse_type_ref("after ':'")
-        if self._at("about"):
-            self.cur.advance()
+        if self._at("defined") or self._at(":"):
+            node.attrs["typing"] = self.parse_typing()
+        if self._eat("about"):
             node.attrs["about"] = self.parse_path("after 'about'")
         if self._at(";"):
             node.span = cover(node.span, self.cur.advance().span)
-            return node
-        if self._expect("{", "to open the metadata body"):
-            close = self.parse_metadata_body(node)
-            node.span = cover(node.span, close)
+        elif self._expect("{", "to open the metadata body"):
+            close = self.parse_block(node, self._metadata_item, "metadata body",
+                                     " in metadata body")
+            node.span = cover(node.span, close or self.cur.peek().span)
         return node
 
-    def parse_metadata_body(self, node: AstNode) -> Span:
-        while True:
-            tok = self.cur.peek()
-            if tok.kind == TokenKind.EOF:
-                self._error("P002", tok.span, "metadata body is never closed")
-                return tok.span
-            if self._at("}"):
-                return self.cur.advance().span
-            if self._at(";"):
-                self.cur.advance()
-                continue
-            if tok.kind in (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER,
-                            TokenKind.KEYWORD):
-                name_tok = self.cur.advance()
-                prop = AstNode(kind="BodyProperty", span=name_tok.span,
-                               attrs={"name": self._ident_value(name_tok)})
-                if self._eat("="):
-                    prop.attrs["value"] = self.parse_value("in metadata property")
-                    self._expect(";", "after metadata property")
-                elif self._at("{"):
-                    self.cur.advance()
-                    self.parse_metadata_body(prop)
-                else:
-                    self._error("P002", self.cur.peek().span,
-                                "expected '=' or '{' in metadata body")
-                    self._recover()
-                node.children.append(prop)
-                continue
-            self._error("P002", tok.span, f"unexpected token {tok.text!r} in metadata body")
+    def _metadata_item(self) -> Union[AstNode, bool]:
+        """``name = value;`` or ``name { ... }`` in a metadata body."""
+        if self.cur.peek().kind not in (*_NAME_KINDS, TokenKind.KEYWORD):
+            return False
+        name_tok = self.cur.advance()
+        prop = AstNode(kind="BodyProperty", span=name_tok.span,
+                       attrs={"name": self._ident_value(name_tok)})
+        if self._eat("="):
+            prop.attrs["value"] = self.parse_value("in metadata property")
+            self._expect(";", "after metadata property")
+        elif self._eat("{"):
+            self.parse_block(prop, self._metadata_item, "metadata body",
+                             " in metadata body")
+        else:
+            self._error("P002", self.cur.peek().span,
+                        "expected '=' or '{' in metadata body")
             self._recover()
+        return prop
 
     def parse_measurement(self) -> AstNode:
         start = self.cur.advance()  # 'measurement'
-        node = AstNode(kind="MeasurementBlock", span=start.span)
-        self._attach_trivia(node)
-        self._expect("{", "to open the measurement block")
-        while True:
-            tok = self.cur.peek()
-            if tok.kind == TokenKind.EOF:
-                self._error("P002", tok.span, "measurement block is never closed")
-                return node
-            if self._at("}"):
-                node.span = cover(node.span, self.cur.advance().span)
-                return node
-            if self._at(";"):
-                self.cur.advance()
-                continue
-            if tok.kind == TokenKind.IDENTIFIER:
-                prop = self.parse_body_property()
-                if prop is not None:
-                    node.children.append(prop)
-                continue
-            self._error("P002", tok.span,
-                        f"unexpected token {tok.text!r} in measurement block")
-            self._recover()
+        node = self._header(AstNode(kind="MeasurementBlock", span=start.span))
+        self.cur.advance()  # '{', seen by parse_statement
+        close = self.parse_block(node, self._measurement_item, "measurement block",
+                                 " in measurement block")
+        if close:
+            node.span = cover(node.span, close)
+        return node
 
-    def parse_body_property(self) -> Optional[AstNode]:
+    def _measurement_item(self) -> Union[AstNode, bool]:
+        if not self._at_kind(TokenKind.IDENTIFIER):
+            return False
+        return self.parse_body_property()
+
+    def parse_body_property(self) -> AstNode:
         name_tok = self.cur.advance()
-        node = AstNode(kind="BodyProperty", span=name_tok.span,
-                       attrs={"name": self._ident_value(name_tok)})
-        self._attach_trivia(node)
+        node = self._header(AstNode(kind="BodyProperty", span=name_tok.span,
+                                    attrs={"name": self._ident_value(name_tok)}))
         if not self._expect("=", "in property assignment"):
             self._recover()
             return node
@@ -1018,10 +844,9 @@ class Parser:
 
     def parse_expression_statement(self) -> AstNode:
         expr = self.parse_expression()
-        node = AstNode(kind="ConstraintExpr",
-                       span=expr.span if expr else self.cur.peek().span,
-                       attrs={"expr": expr})
-        self._attach_trivia(node)
+        node = self._header(AstNode(kind="ConstraintExpr",
+                                    span=expr.span if expr else self.cur.peek().span,
+                                    attrs={"expr": expr}))
         # the terminator is optional only directly before the body close
         if not self._eat(";") and not self._at("}"):
             self._error("P002", self.cur.peek().span,
@@ -1029,89 +854,71 @@ class Parser:
             self._recover()
         return node
 
-    def parse_expression(self) -> Optional[Expr]:
-        return self._parse_or()
-
-    def _parse_or(self) -> Optional[Expr]:
-        left = self._parse_and()
+    def parse_expression(self, op: str = "or") -> Optional[Expr]:
+        """Operands joined by ``op``: ``or`` joins ``and`` chains, and ``and``
+        (also spelled ``&``) joins comparisons."""
+        operand = (self._parse_comparison if op == "and"
+                   else partial(self.parse_expression, "and"))
+        left = operand()
         if left is None:
             return None
         items = [left]
-        while self._at("or"):
+        while self.cur.peek().text in _BOOL_SPELLINGS[op]:
             self.cur.advance()
-            nxt = self._parse_and()
+            nxt = operand()
             if nxt is None:
                 break
             items.append(nxt)
         if len(items) == 1:
             return left
-        return BoolOp(span=cover(items[0].span, items[-1].span), op="or",
-                      items=tuple(items))
-
-    def _parse_and(self) -> Optional[Expr]:
-        left = self._parse_comparison()
-        if left is None:
-            return None
-        items = [left]
-        while self._at("&") or self._at("and"):
-            self.cur.advance()
-            nxt = self._parse_comparison()
-            if nxt is None:
-                break
-            items.append(nxt)
-        if len(items) == 1:
-            return left
-        return BoolOp(span=cover(items[0].span, items[-1].span), op="and",
-                      items=tuple(items))
+        return BoolOp(span=cover(left.span, items[-1].span), op=op, items=tuple(items))
 
     def _parse_comparison(self) -> Optional[Expr]:
         left = self._parse_unary()
         if left is None:
             return None
-        for op in ("==", ">=", "<=", "<", ">"):
-            if self._at(op):
-                self.cur.advance()
-                right = self._parse_unary()
-                if right is None:
-                    return left
-                return Comparison(span=cover(left.span, right.span), op=op,
-                                  left=left, right=right)
-        return left
+        op = self.cur.peek().text
+        if op not in ("==", ">=", "<=", "<", ">"):
+            return left
+        self.cur.advance()
+        right = self._parse_unary()
+        if right is None:
+            return left
+        return Comparison(span=cover(left.span, right.span), op=op, left=left, right=right)
+
+    def _nest(self) -> bool:
+        """Consume a ``not`` or ``(`` and enter one more expression level;
+        past MAX_BODY_NESTING report it and recover instead."""
+        if self.expr_depth >= MAX_BODY_NESTING:
+            self._error("P001", self.cur.peek().span, "expression nests too deeply")
+            self._recover()
+            return False
+        self.cur.advance()
+        self.expr_depth += 1
+        return True
 
     def _parse_unary(self) -> Optional[Expr]:
-        if self._at("not"):
-            tok = self.cur.advance()
-            if self.expr_depth >= MAX_BODY_NESTING:
-                self._error("P001", tok.span, "expression nests too deeply")
-                self._recover()
-                return None
-            self.expr_depth += 1
-            try:
-                item = self._parse_unary()
-            finally:
-                self.expr_depth -= 1
-            if item is None:
-                return None
-            return NotOp(span=cover(tok.span, item.span), item=item)
-        return self._parse_primary()
+        tok = self.cur.peek()
+        if tok.text != "not":
+            return self._parse_primary()
+        if not self._nest():
+            return None
+        item = self._parse_unary()
+        self.expr_depth -= 1
+        if item is None:
+            return None
+        return NotOp(span=cover(tok.span, item.span), item=item)
 
     def _parse_primary(self) -> Optional[Expr]:
         tok = self.cur.peek()
-        if self._at("("):
-            if self.expr_depth >= MAX_BODY_NESTING:
-                self._error("P001", tok.span, "expression nests too deeply")
-                self._recover()
+        if tok.text == "(":
+            if not self._nest():
                 return None
-            self.cur.advance()
-            self.expr_depth += 1
-            try:
-                inner = self.parse_expression()
-            finally:
-                self.expr_depth -= 1
+            inner = self.parse_expression()
+            self.expr_depth -= 1
             self._expect(")", "to close the group")
             return inner
-        if tok.kind in (TokenKind.NUMBER, TokenKind.STRING,
-                        TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER) \
+        if tok.kind in (TokenKind.NUMBER, TokenKind.STRING, *_NAME_KINDS) \
                 or tok.text in ("true", "false"):
             value = self.parse_value("in expression")
             if value is None:
@@ -1119,6 +926,55 @@ class Parser:
             return Operand(span=value.span, value=value)
         self._error("P002", tok.span, f"expected an expression, found {tok.text!r}")
         return None
+
+
+# -- clause tables: the token that opens a clause -> its parser ----------------
+
+def _set(attr: str, parse: Callable, *args):
+    """A clause that stores what follows its keyword, parsed or None."""
+    def clause(parser: Parser, attrs: dict, _node) -> None:
+        parser.cur.advance()
+        attrs[attr] = parse(parser, *args)
+    return clause
+
+
+def _append(attr: str, parse: Callable, context: str):
+    """A clause that appends what follows its keyword when it parses."""
+    def clause(parser: Parser, attrs: dict, _node) -> None:
+        parser.cur.advance()
+        value = parse(parser, context)
+        if value:
+            attrs.setdefault(attr, []).append(value)
+    return clause
+
+
+_SEND_CLAUSES = {
+    "via": _set("via", Parser.parse_path, "after 'via'"),
+    "to": _set("to", Parser.parse_path, "after 'to'"),
+}
+_USAGE_RELATIONSHIPS = {
+    ":": Parser._usage_typing,
+    "defined": Parser._usage_typing,
+    "specializes": _append("specializes_list", Parser.parse_type_ref, "after 'specializes'"),
+    ":>": _append("subsets", Parser.parse_path, "after ':>'"),
+    ":>>": _append("redefines", Parser.parse_path, "after redefinition"),
+    "redefines": _append("redefines", Parser.parse_path, "after redefinition"),
+    "::>": _append("refsubsets", Parser.parse_path, "after '::>'"),
+}
+_USAGE_ACTIONS = {
+    "send": _set("send", Parser.parse_send),
+    "accept": _set("accept", Parser.parse_accept),
+    **_SEND_CLAUSES,
+}
+_TRANSITION_CLAUSES = {
+    "first": _set("first", Parser.parse_path, "after 'first'"),
+    "accept": _USAGE_ACTIONS["accept"],
+    "via": _SEND_CLAUSES["via"],
+    "if": _set("guard", Parser.parse_expression),
+    "do": Parser._transition_do,
+    "then": _set("then", Parser.parse_path, "after 'then'"),
+}
+_BOOL_SPELLINGS = {"or": ("or",), "and": ("&", "and")}
 
 
 def parse_file(source: SourceFile) -> tuple[AstNode, list[Diagnostic]]:

@@ -202,6 +202,8 @@ PARSE_SNIPPETS = (
     "package P { action a { send S( ; } action b accept ; action c do send; }",
     "package P { metadata m : M { a = 1 b = 2; c { d; } e } }",
     "package P { part p { measurement x; measurement { } } }",
+    "package P { metadata m : M { in = 1; part { then = 2; } 'q' = 3; } }",
+    "package P { part p { measurement { 'q' = 1; x = 2; } 'r' = 3; } }",
     "package P { metadata m : M { "
     + "a { " * 40 + "b = 1;" + " }" * 40 + " } }",
     "package P { part p " + "{ part q " * 40 + "{ }" + " }" * 41,

@@ -341,3 +341,22 @@ def test_verbatim_radar_chain_reports_r001_and_corrected_is_clean():
     assert all("radar" in d.message for d in r001)
     corrected = analyze_fixture("acc.sysml")
     assert [d.code for d in corrected.model.diagnostics] == []
+
+
+def test_forward_chain_resolves_in_linear_work():
+    # u's lookup of v.m reaches each def of the chain before the def's own
+    # relationships have started; each retry must resume the interrupted
+    # closure search rather than walk the chain again from v
+    depth = 1000
+    defs = " ".join(f"part def D{i} specializes D{i + 1};" for i in range(depth))
+    text = (f"package P {{ part v : D0; part u :> v.m; {defs} "
+            f"part def D{depth} {{ part m; }} }}")
+    from psumlint.model import Model
+    with mock.patch.object(Model, "out_edges", autospec=True,
+                           side_effect=Model.out_edges) as out_edges:
+        analysis = analyze_text(text)
+    assert analysis.findings == []
+    u = qn(analysis, "P::u")
+    m = qn(analysis, f"P::D{depth}::m")
+    assert [e.target for e in analysis.model.out_edges(u)] == [m]
+    assert out_edges.call_count < 10 * depth

@@ -203,3 +203,25 @@ def test_redefines_keyword_equals_symbolic_form():
     b_kw = [u for u in find(keyword, "Usage") if u.attr("name") == "b"][0]
     assert [p.text for p in b_sym.attr("redefines")] == \
         [p.text for p in b_kw.attr("redefines")] == ["a"]
+
+
+def test_parser_asks_only_about_keyword_operator_or_punctuation_text():
+    # Parser._at compares token text alone, which is exact only because no
+    # identifier, literal or bracket token has such a text
+    import inspect
+    import re
+
+    from psumlint import syntax
+    from psumlint.lexer import KEYWORDS, TokenKind, tokenize
+    texts = set(re.findall(r'_(?:at|eat|expect)\("([^"]+)"',
+                           inspect.getsource(syntax)))
+    for table in (syntax._USAGE_RELATIONSHIPS, syntax._USAGE_ACTIONS,
+                  syntax._TRANSITION_CLAUSES, syntax._SEND_CLAUSES,
+                  syntax._BOOL_SPELLINGS):
+        texts.update(table)
+    texts.update(*syntax._BOOL_SPELLINGS.values())
+    assert len(texts) > 30
+    for text in texts - KEYWORDS:
+        tokens, diags = tokenize(SourceFile(path="<t>", content=text))
+        assert diags == [] and [t.text for t in tokens] == [text, ""], text
+        assert tokens[0].kind in (TokenKind.OPERATOR, TokenKind.PUNCTUATION), text
