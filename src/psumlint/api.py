@@ -6,14 +6,15 @@ pass over the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .diagnostics import Diagnostic
 from .inheritance import (DerivedReport, EffectiveMap, derived_report,
                           effective_stereotypes)
 from .model import Model, build_model
-from .profile import DEFAULT_CATALOG, ProfileCatalog, RiskAnnotation, collect_risks
+from .profile import DEFAULT_CATALOG, ProfileCatalog, RiskAnnotation
 from .propagation import (PropagationGraph, SpecSuggestion, TopicRecord,
                           build_propagation_graph, derive_effect_specifications,
                           topic_report)
@@ -27,30 +28,21 @@ from .validator import validate
 class Analysis:
     model: Model
     catalog: ProfileCatalog
-    _effective: Optional[EffectiveMap] = field(default=None, repr=False)
-    _graph: Optional[PropagationGraph] = field(default=None, repr=False)
-    _findings: Optional[list[Diagnostic]] = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def effective(self) -> EffectiveMap:
-        if self._effective is None:
-            self._effective = effective_stereotypes(self.model)
-        return self._effective
+        return effective_stereotypes(self.model)
 
-    @property
+    @cached_property
     def graph(self) -> PropagationGraph:
-        if self._graph is None:
-            self._graph = build_propagation_graph(self.model, self.effective)
-        return self._graph
+        return build_propagation_graph(self.model, self.effective)
 
-    @property
+    @cached_property
     def findings(self) -> list[Diagnostic]:
-        if self._findings is None:
-            self._findings = validate(self.model, self.catalog, self.effective)
-        return self._findings
+        return validate(self.model, self.catalog, self.effective)
 
     def stats(self) -> StatsReport:
-        return model_stats(self.model, self.effective, self.graph)
+        return model_stats(self.model, self.effective)
 
     def derived(self) -> DerivedReport:
         return derived_report(self.model, self.effective)
@@ -59,8 +51,7 @@ class Analysis:
         return topic_report(self.model, self.graph)
 
     def risks(self) -> list[RiskAnnotation]:
-        risks, _diags = collect_risks(self.model)
-        return risks
+        return self.model.risks
 
     def suggestions(self) -> list[SpecSuggestion]:
         return derive_effect_specifications(self.model, self.effective, self.graph)

@@ -173,7 +173,7 @@ def run(argv: list[str]) -> int:
         return _finding_exit(analysis)
 
     if args.command == "risks":
-        risks = analysis.graph.risks
+        risks = analysis.risks()
         roots: dict[int, list[int]] = {}
         for risk in risks:
             if analysis.graph.has_node(risk.target):

@@ -19,7 +19,7 @@ from typing import Optional
 from .model import EdgeKind, INHERITANCE_KINDS, Model, SpecializationEdge
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
-                      Provenance, StereotypeApplication, is_reference_carrier)
+                      Provenance, StereotypeApplication)
 
 _NO_KINDS: frozenset[str] = frozenset()
 
@@ -324,7 +324,7 @@ def derived_report(model: Model, effective: EffectiveMap) -> DerivedReport:
     uncertain: list[DerivedEntry] = []
     sources: list[DerivedEntry] = []
     for element in model.elements:
-        if element.is_prelude or is_reference_carrier(element):
+        if element.is_prelude or element.is_reference_carrier:
             continue
         kinds = effective.kinds(element.id)
         direct_kinds = {app.stereotype for app in element.annotations}

@@ -196,6 +196,8 @@ class Element:
     ref_targets: tuple[RefTarget, ...] = ()
     about_target: Optional[int] = None
     is_prelude: bool = False
+    #: a ``ref`` usage that subsets or redefines; set by profile.annotate_model
+    is_reference_carrier: bool = False
     ast: Optional[AstNode] = None
 
     def display_name(self) -> str:
@@ -223,6 +225,7 @@ class Model:
     roots: tuple[int, ...]
     prelude_roots: tuple[int, ...]
     risk_levels: tuple[str, ...] = ()
+    risks: list = field(default_factory=list)  # list[RiskAnnotation], filled at build
     #: scope -> (imported element, wildcard); every user root imports the
     #: prelude packages' members after its own imports
     imports: dict[int, tuple[tuple[int, bool], ...]] = field(default_factory=dict)
@@ -274,13 +277,18 @@ class Model:
     def metaclass_category(self, eid: int) -> MetaclassCategory:
         return _CATEGORY_BY_KIND[self.elements[eid].kind]
 
-    def members(self, eid: int) -> dict[str, int]:
-        """Named members visible on an element: owned plus inherited."""
-        result = dict(self._direct[eid])
-        for scope in self.specialization_closure(eid):
-            for name, member in self._direct[scope].items():
-                result.setdefault(name, member)
-        return result
+    def member(self, eid: int, name: str) -> Optional[int]:
+        """The member ``name`` visible on an element: its own, else the first
+        along its closure. The closure is searched even for an owned member:
+        its ``_Unresolved`` orders the build, and so which edge R003 drops."""
+        closure = self.specialization_closure(eid)
+        hit = self._direct[eid].get(name)
+        if hit is None:
+            for scope in closure:
+                hit = self._direct[scope].get(name)
+                if hit is not None:
+                    break
+        return hit
 
     def lookup(self, segments: tuple[str, ...], context: Optional[int],
                exclude: Optional[int] = None
@@ -295,7 +303,7 @@ class Model:
             return None, segments[0]
         ids = [first]
         for segment in segments[1:]:
-            hit = self.members(ids[-1]).get(segment)
+            hit = self.member(ids[-1], segment)
             if hit is None:
                 return None, segment
             ids.append(hit)
@@ -308,7 +316,7 @@ class Model:
             chain.append(context)
             context = self.elements[context].owner
         for scope in chain:
-            hit = self.members(scope).get(name)
+            hit = self.member(scope, name)
             if hit is not None and hit != exclude:
                 return hit
         hit = self._root_scope.get(name)

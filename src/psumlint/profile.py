@@ -417,27 +417,23 @@ def check_applicability(app: StereotypeApplication, element: Element,
     return None
 
 
-def is_reference_carrier(element: Element) -> bool:
-    """True for annotated ``ref`` usages whose annotation names references."""
-    if element.ast is None:
-        return False
-    modifiers = set(element.ast.attr("modifiers", ()) or ())
-    if "ref" not in modifiers:
-        return False
-    return bool(element.ast.attr("refsubsets") or element.ast.attr("redefines"))
-
-
 def annotate_model(model: Model, catalog: Optional[ProfileCatalog] = None) -> None:
-    """Interpret every annotation clause in the model (called at build time)."""
+    """Derive the profile facts once, at build time: flag every reference
+    carrier (annotated or not), interpret every annotation clause, and
+    collect ``model.risks``, adding their V012 findings."""
     catalog = catalog or DEFAULT_CATALOG
     attachments: list[tuple[Element, AnnotationClause]] = []
     for element in model.elements:
-        if element.is_prelude or element.ast is None:
+        node = element.ast
+        if node is None:
             continue
-        clause = element.ast.attr("annotation")
+        element.is_reference_carrier = (
+            "ref" in (node.attr("modifiers", ()) or ())
+            and bool(node.attr("refsubsets") or node.attr("redefines")))
+        clause = node.attr("annotation")
         if clause is None:
             continue
-        if is_reference_carrier(element):
+        if element.is_reference_carrier:
             attachments.append((element, clause))
             continue
         apps, diags = interpret_annotation(clause, element, model, catalog)
@@ -445,6 +441,8 @@ def annotate_model(model: Model, catalog: Optional[ProfileCatalog] = None) -> No
         model.diagnostics.extend(diags)
     for carrier, clause in attachments:
         _attach_reference(model, carrier, clause, catalog)
+    model.risks, diags = collect_risks(model)
+    model.diagnostics.extend(diags)
 
 
 def _attach_reference(model: Model, carrier: Element, clause: AnnotationClause,

@@ -18,12 +18,11 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .inheritance import (EffectiveMap, effective_specifications,
-                          has_effective, is_reference_carrier)
+from .inheritance import EffectiveMap, effective_specifications, has_effective
 from .model import Model, strongly_connected
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
-                      UNCERTAINTY_TOPIC, RiskAnnotation, collect_risks)
+                      UNCERTAINTY_TOPIC, RiskAnnotation)
 from .source import Span
 
 
@@ -64,7 +63,6 @@ class PropagationGraph:
     model: Model
     roles: dict[int, set[NodeRole]] = field(default_factory=dict)
     edges: list[PropagationEdge] = field(default_factory=list)
-    risks: list[RiskAnnotation] = field(default_factory=list)
     #: (source, target, kind) -> position of that edge in ``edges``
     _index: dict[tuple[int, int, PropagationEdgeKind], int] = field(
         default_factory=dict)
@@ -115,7 +113,7 @@ def build_propagation_graph(model: Model,
 
     uncertain_elements: list[int] = []
     for element in model.elements:
-        if element.is_prelude or is_reference_carrier(element):
+        if element.is_prelude or element.is_reference_carrier:
             continue
         eid = element.id
         if has_effective(effective, eid, INDETERMINACY_SOURCE):
@@ -164,9 +162,7 @@ def build_propagation_graph(model: Model,
                         graph.add_edge(element.id, ref.target,
                                        PropagationEdgeKind.GROUPS, ref.span)
 
-    risks, _diags = collect_risks(model)
-    graph.risks = risks
-    for risk in risks:
+    for risk in model.risks:
         if graph.has_node(risk.target):
             graph.add_role(risk.element, NodeRole.RISK)
             graph.add_edge(risk.target, risk.element,
@@ -358,7 +354,7 @@ def topic_report(model: Model, graph: PropagationGraph) -> list[TopicRecord]:
                         and node not in effects:
                     effects.append(node)
                 if NodeRole.RISK in node_roles:
-                    for risk in graph.risks:
+                    for risk in model.risks:
                         if risk.element == node and risk not in risk_hits:
                             risk_hits.append(risk)
         records.append(TopicRecord(

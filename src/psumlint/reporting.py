@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from .diagnostics import Diagnostic
-from .inheritance import EffectiveMap, is_reference_carrier
+from .inheritance import EffectiveMap
 from .model import Model
 from .profile import (BELIEF_STATEMENT, EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
@@ -73,7 +73,8 @@ def element_line_extent(element) -> int:
 
 
 def model_stats(model: Model, effective: EffectiveMap,
-                graph: PropagationGraph) -> StatsReport:
+                graph: PropagationGraph | None = None) -> StatsReport:
+    """Counts over the model; ``graph`` is accepted for old callers, unread."""
     report = StatsReport()
     for source in model.files:
         report.lom_files[source.path] = count_lom(source.content)
@@ -87,7 +88,7 @@ def model_stats(model: Model, effective: EffectiveMap,
 
     counts: dict[str, dict[str, dict[str, int]]] = {}
     for element in model.elements:
-        if element.is_prelude or is_reference_carrier(element):
+        if element.is_prelude or element.is_reference_carrier:
             continue
         direct_kinds = {a.stereotype for a in element.annotations}
         inherited_kinds = effective.kinds(element.id) - direct_kinds
@@ -135,7 +136,7 @@ def model_stats(model: Model, effective: EffectiveMap,
     report.topic_count = len(topic_names)
 
     levels = dict.fromkeys(model.risk_levels, 0)
-    for risk in graph.risks:
+    for risk in model.risks:
         if risk.impact in levels:
             levels[risk.impact] += 1
     report.risk_counts = levels
@@ -151,7 +152,7 @@ def _in_stereotype_order(kinds: set[str]) -> list[str]:
 def _direct_count(model: Model, stereotype: str) -> int:
     total = 0
     for element in model.elements:
-        if is_reference_carrier(element):
+        if element.is_reference_carrier:
             continue
         total += sum(1 for app in element.annotations
                      if app.stereotype == stereotype)

@@ -221,8 +221,8 @@ class Parser:
         tokens, lex_diags = tokenize(source)
         self.cur = _Cursor(tokens)
         self.diagnostics: list[Diagnostic] = list(lex_diags)
-        self.body_depth = 0
-        self.expr_depth = 0
+        #: open blocks plus open ``not``/``(`` levels: one budget for both
+        self.depth = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -440,7 +440,7 @@ class Parser:
         }), annotation)
         if self._expect("{", "to open the package body"):
             close = self.parse_block(node, partial(self.parse_statement, "general"), "body")
-            node.span = cover(start.span, close or self.cur.peek().span)
+            node.span = cover(node.span, close or self.cur.peek().span)
         return node
 
     # -- blocks -----------------------------------------------------------------
@@ -453,15 +453,15 @@ class Parser:
         ``item()`` parses one item at the current token: it returns the
         item's node, None when it adds no node, or False when the token
         starts no item; then the loop reports ``unexpected token`` followed
-        by ``where``. A block nested deeper than MAX_BODY_NESTING is
-        reported and skipped.
+        by ``where``. A block that would open past MAX_BODY_NESTING levels,
+        blocks and expression levels together, is reported and skipped.
         """
-        if self.body_depth >= MAX_BODY_NESTING:
+        if self.depth >= MAX_BODY_NESTING:
             self._error("P001", self.cur.peek().span,
                         f"nesting deeper than {MAX_BODY_NESTING} levels")
             closer = self._skip(to_semicolon=False)
             return self.cur.advance().span if closer.text == "}" else None
-        self.body_depth += 1
+        self.depth += 1
         try:
             while True:
                 tok = self.cur.peek()
@@ -481,7 +481,7 @@ class Parser:
                 elif child is not None:
                     node.children.append(child)
         finally:
-            self.body_depth -= 1
+            self.depth -= 1
 
     def parse_statement(self, body_kind: str) -> Union[AstNode, None, bool]:
         annotation = self.parse_annotation()
@@ -888,13 +888,14 @@ class Parser:
 
     def _nest(self) -> bool:
         """Consume a ``not`` or ``(`` and enter one more expression level;
-        past MAX_BODY_NESTING report it and recover instead."""
-        if self.expr_depth >= MAX_BODY_NESTING:
+        past MAX_BODY_NESTING levels, blocks included, report it and
+        recover instead."""
+        if self.depth >= MAX_BODY_NESTING:
             self._error("P001", self.cur.peek().span, "expression nests too deeply")
             self._recover()
             return False
         self.cur.advance()
-        self.expr_depth += 1
+        self.depth += 1
         return True
 
     def _parse_unary(self) -> Optional[Expr]:
@@ -904,7 +905,7 @@ class Parser:
         if not self._nest():
             return None
         item = self._parse_unary()
-        self.expr_depth -= 1
+        self.depth -= 1
         if item is None:
             return None
         return NotOp(span=cover(tok.span, item.span), item=item)
@@ -915,7 +916,7 @@ class Parser:
             if not self._nest():
                 return None
             inner = self.parse_expression()
-            self.expr_depth -= 1
+            self.depth -= 1
             self._expect(")", "to close the group")
             return inner
         if tok.kind in (TokenKind.NUMBER, TokenKind.STRING, *_NAME_KINDS) \

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from . import diagnostics
 from .diagnostics import Diagnostic, ordered
-from .inheritance import (EffectiveMap, effective_stereotypes, has_effective,
-                          is_reference_carrier)
+from .inheritance import EffectiveMap, effective_stereotypes, has_effective
 from .model import ElementKind, Model
 from .profile import (BELIEF_STATEMENT, DEFAULT_CATALOG, EFFECT,
                       INDETERMINACY_SOURCE, INDETERMINACY_SPECIFICATION,
                       UNCERTAINTY, UNCERTAINTY_TOPIC, ProfileCatalog,
-                      check_applicability, collect_risks)
+                      check_applicability)
 
 _UNCERTAIN = (UNCERTAINTY, EFFECT)
 
@@ -154,8 +153,9 @@ def _characterization_rules(model: Model) -> list[Diagnostic]:
 
 
 def _risk_rules(model: Model, effective: EffectiveMap) -> list[Diagnostic]:
-    risks, out = collect_risks(model)
-    for risk in risks:
+    """V013; the build reported V012 when it collected the risks."""
+    out: list[Diagnostic] = []
+    for risk in model.risks:
         if not has_effective(effective, risk.target, *_UNCERTAIN):
             out.append(diagnostics.make(
                 "V013", risk.span,
@@ -173,7 +173,7 @@ def _orphan_effect_rule(model: Model) -> list[Diagnostic]:
                 inbound.add(ref.target)
     out: list[Diagnostic] = []
     for element in model.elements:
-        if is_reference_carrier(element):
+        if element.is_reference_carrier:
             continue
         for app in element.annotations:
             if app.stereotype == EFFECT and element.id not in inbound:

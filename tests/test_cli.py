@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from psumlint import api, profile, propagation, validator
+from psumlint import profile
 from psumlint.api import analyze_text
 from psumlint.cli import run
 from psumlint.propagation import backward_trace, forward_trace
@@ -185,12 +185,19 @@ def test_risks_collects_risks_once_per_consumer(capsys, monkeypatch):
         calls.append(len(model.elements))
         return collect_risks(model)
 
-    for module in (profile, propagation, validator, api):
-        monkeypatch.setattr(module, "collect_risks", counting)
+    monkeypatch.setattr(profile, "collect_risks", counting)
     code, out, _ = invoke(capsys, "risks", fixture_path("arrowhead.sysml"))
     assert code == 0 and "lossOfCallGiveItemsRisk" in out
-    # the validator's V012 check, and the graph, whose list is printed
-    assert len(calls) == 2
+    # once, when the model is built; the validator, the graph and the
+    # printed list all read model.risks
+    assert len(calls) == 1
+    calls.clear()
+    analysis = analyze_text(fixture_text("arrowhead.sysml"))
+    for report in (analysis.stats, analysis.derived, analysis.topics,
+                   analysis.risks, analysis.suggestions):
+        report()
+    assert analysis.findings == [] and analysis.graph.edges
+    assert len(calls) == 1
 
 
 def test_graph_dot_default(capsys):

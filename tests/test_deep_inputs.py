@@ -14,6 +14,9 @@ from test_reporting import check as check_schema
 #: a metadata body nested 2,000 levels deep: past the 100-level cap
 DEEP_METADATA = ("package P { part p { metadata m : M { " + "a { " * 2000
                  + "b = 1;" + " }" * 2000 + " } } }\n")
+#: 100 open bodies, then 99 open parentheses: one budget covers both
+DEEP_MIXED = ("package P " + "{ part q " * 98 + "{ constraint c { " + "(" * 99
+              + "\n")
 #: a0 :> a1.b, a1 :> a2.b, ...: resolving a0 needs a1 resolved first, and
 #: so on 400 levels down; T's uncertainty reaches every level
 DEEP_CHAIN = ("package P { «Uncertainty<ocr, epi, subj>» part def T { part b : T; } "
@@ -37,7 +40,8 @@ COMMANDS = (
 def deep_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("deep")
     paths = {}
-    for name, text in (("metadata", DEEP_METADATA), ("chain", DEEP_CHAIN)):
+    for name, text in (("metadata", DEEP_METADATA), ("chain", DEEP_CHAIN),
+                       ("mixed", DEEP_MIXED)):
         paths[name] = directory / f"{name}.sysml"
         paths[name].write_text(text, encoding="utf-8")
     return paths
@@ -62,6 +66,15 @@ def test_deep_metadata_body_is_reported_on_every_subcommand(capsys, deep_files):
         assert "nesting deeper than 100 levels" in captured.out + captured.err
 
 
+def test_deep_bodies_and_expressions_share_one_cap(capsys, deep_files):
+    for argv, code, captured in _every_invocation(capsys, deep_files["mixed"]):
+        assert code == 2, argv
+        assert "P001" in captured.out + captured.err, argv
+        assert "expression nests too deeply" in captured.out + captured.err
+        if argv[0] == "check" and argv[-1] == "json":
+            assert captured.out.count('"code": "P001"') == 1
+
+
 def test_deep_feature_chain_resolves_on_every_subcommand(capsys, deep_files):
     for argv, code, captured in _every_invocation(capsys, deep_files["chain"]):
         assert code == 0, argv
@@ -73,10 +86,10 @@ def test_deep_feature_chain_resolves_on_every_subcommand(capsys, deep_files):
             assert captured.out.count('"qualified_name": "P::') == 403
 
 
-@pytest.mark.parametrize("name", ["metadata", "chain"])
+@pytest.mark.parametrize("name", ["metadata", "chain", "mixed"])
 def test_deep_input_through_the_console_entry_point(deep_files, name):
     result = subprocess.run(
         [sys.executable, "-m", "psumlint.cli", "check", str(deep_files[name])],
         capture_output=True, text=True)
-    assert result.returncode == (2 if name == "metadata" else 0)
+    assert result.returncode == (0 if name == "chain" else 2)
     assert "Traceback" not in result.stderr

@@ -9,7 +9,7 @@ from psumlint.inheritance import (derived_report, effective_specifications,
                                   effective_stereotypes, has_effective)
 from psumlint.model import INHERITANCE_KINDS, EdgeKind
 from psumlint.profile import (DEFAULT_CATALOG, EFFECT, INDETERMINACY_SOURCE,
-                              UNCERTAINTY, is_reference_carrier)
+                              UNCERTAINTY)
 
 from conftest import specialization_model
 
@@ -379,7 +379,7 @@ def _check_against_oracle(model, order):
     derived = derived_report(model, effective)
     expected = {"uncertain": [], "sources": []}
     for element in model.elements:
-        if element.is_prelude or is_reference_carrier(element):
+        if element.is_prelude or element.is_reference_carrier:
             continue
         rows = oracle[element.id]
         for group, names in (("uncertain", (UNCERTAINTY, EFFECT)),

@@ -169,6 +169,18 @@ def test_specialization_cycle_r003():
         assert element.id not in set(model.specialization_closure(element.id))
 
 
+def test_owned_member_lookup_keeps_resolution_order():
+    # a's lookup of b.y searches b's closure before its owned y, and that
+    # search resolves b first; skipping it would resolve x's edge before
+    # y's and drop x's edge from the x/y cycle instead
+    analysis = analyze_text(
+        "package P { part def a specializes b.y; "
+        "part def b specializes a.q { part x :>> y; part y :>> x; } }")
+    cycles = [d for d in analysis.model.diagnostics if d.code == "R003"]
+    assert [(d.span.start, d.message) for d in cycles] == [
+        (94, "specialization cycle through P::b::y; edge dropped")]
+
+
 def _breadth_first(parents: dict[int, list[int]], eid: int) -> tuple[int, ...]:
     order, seen, frontier = [], {eid}, [eid]
     while frontier:

@@ -236,6 +236,52 @@ def test_risk_without_about_targets_enclosing_element(frigate):
     assert target.name == "failToEngageDefense"
 
 
+def test_build_collects_risks_into_the_model(acc, arrowhead, vfea):
+    for analysis in (acc, arrowhead, vfea):
+        risks, diags = collect_risks(analysis.model)
+        assert analysis.model.risks == risks
+        assert analysis.risks() is analysis.model.risks
+        assert all(d in analysis.model.diagnostics for d in diags)
+
+
+def test_bad_risk_impact_is_reported_once_by_the_build():
+    analysis = analyze_text(
+        "package P { «Uncertainty<ocr, epi, subj>» part u { "
+        "metadata r : RiskMetadata::Risk { impact = 3; } } }")
+    assert [d.code for d in analysis.model.diagnostics] == ["V012"]
+    assert [d.code for d in analysis.findings] == ["V012"]
+    assert [(r.name, r.impact) for r in analysis.model.risks] == [("r", None)]
+
+
+# -- reference carriers ------------------------------------------------------------
+
+def test_unannotated_ref_redefinition_is_a_reference_carrier():
+    # a ref that redefines is a carrier whether or not it is annotated: it
+    # inherits u's uncertainty but is neither a graph node, a derived
+    # uncertainty nor a counted ref
+    analysis = analyze_text(
+        "package P { part def T { «Uncertainty<ocr, epi, subj>» part u; } "
+        "part t : T { ref :>> u; } }")
+    [carrier] = [e for e in analysis.model.elements if e.kind.value == "ref"]
+    assert carrier.annotations == ()
+    assert "Uncertainty" in analysis.effective.kinds(carrier.id)
+    assert carrier.id not in analysis.graph.roles
+    assert carrier.id not in [e.element for e in analysis.derived().uncertain]
+    assert "ref" not in analysis.stats().stereotype_counts["Uncertainty"]
+
+
+@pytest.mark.parametrize("declaration, carrier", [
+    ("ref :>> u;", True), ("ref redefines u;", True), ("ref ::> u;", True),
+    ("«Effect» ref ::> u;", True), ("ref :> u;", False), ("part :>> u;", False),
+    ("ref r;", False)])
+def test_reference_carrier_flag(declaration, carrier):
+    analysis = analyze_text("package P { part def T { part u; } "
+                            f"part t : T {{ {declaration} }} }}")
+    flagged = [e.kind.value for e in analysis.model.elements
+               if e.is_reference_carrier]
+    assert flagged == (["ref"] if carrier else [])
+
+
 # -- catalog ------------------------------------------------------------------------------
 
 def test_bundled_catalog_file_matches_default():
