@@ -650,8 +650,15 @@ class _Builder:
     # ---- acyclicity ----------------------------------------------------------
 
     def remove_cycles(self) -> None:
-        """Drop, in declaration order, each inheritance edge that would close
+        """Drop, in resolution order, each inheritance edge that would close
         a cycle over the edges kept before it (R003).
+
+        ``self.edges`` holds edges in the order they resolved, not the
+        order they were declared: when a lookup raises ``_Unresolved``, the
+        element its closure search reached resolves first and the lookup is
+        retried after it. Which edge of a cycle is dropped depends on that
+        order; ``test_model.py::test_owned_member_lookup_keeps_resolution_order``
+        pins one such case.
 
         Every node of a cycle lies in one strongly connected component of
         the inheritance edges, so only an edge inside a component is

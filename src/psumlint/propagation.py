@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Optional
 
 from .inheritance import EffectiveMap, effective_specifications, has_effective
@@ -48,6 +49,7 @@ TRACE_KINDS = frozenset({
     PropagationEdgeKind.PROPAGATES, PropagationEdgeKind.INCURS,
 })
 EFFECT_CHAIN_KINDS = frozenset({PropagationEdgeKind.PROPAGATES})
+_ROOT_ROLES = frozenset({NodeRole.SOURCE, NodeRole.SPECIFICATION})
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class PropagationGraph:
         default_factory=dict)
     _out: dict[int, list[int]] = field(default_factory=dict)
     _in: dict[int, list[int]] = field(default_factory=dict)
+    #: (kinds, reverse) -> adjacency, built on first use; see ``adjacency``
+    _adjacency: dict[tuple[frozenset, bool],
+                     dict[int, list[tuple[int, PropagationEdge]]]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def nodes(self) -> list[int]:
         return sorted(self.roles)
@@ -77,10 +83,12 @@ class PropagationGraph:
 
     def add_role(self, eid: int, role: NodeRole) -> None:
         self.roles.setdefault(eid, set()).add(role)
+        self._adjacency.clear()
 
     def add_edge(self, source: int, target: int, kind: PropagationEdgeKind,
                  span: Optional[Span]) -> None:
         """Add an edge, or append ``span`` to the provenance of the same one."""
+        self._adjacency.clear()
         spans = (span,) if span is not None else ()
         key = (source, target, kind)
         position = self._index.get(key)
@@ -99,6 +107,33 @@ class PropagationGraph:
 
     def in_edges(self, eid: int) -> list[PropagationEdge]:
         return [self.edges[i] for i in self._in.get(eid, ())]
+
+    def adjacency(self, kinds: frozenset, reverse: bool
+                  ) -> dict[int, list[tuple[int, PropagationEdge]]]:
+        """Each node's ``(peer, edge)`` pairs over edges of ``kinds``.
+
+        A peer is an edge's target, or its source when ``reverse``. Pairs
+        are sorted by peer, ties in insertion order. Risks are sinks, so
+        forward adjacency has no entry for them. Built on first use and
+        kept until the graph changes.
+        """
+        key = (kinds, reverse)
+        table = self._adjacency.get(key)
+        if table is None:
+            table = self._adjacency[key] = {}
+            for node, positions in (self._in if reverse else self._out).items():
+                if not reverse and NodeRole.RISK in self.roles.get(node, ()):
+                    continue
+                pairs = []
+                for position in positions:
+                    edge = self.edges[position]
+                    if edge.kind in kinds:
+                        pairs.append(
+                            (edge.source if reverse else edge.target, edge))
+                if pairs:
+                    pairs.sort(key=itemgetter(0))
+                    table[node] = pairs
+        return table
 
 
 class TraceStartError(ValueError):
@@ -192,25 +227,19 @@ def _walk(graph: PropagationGraph, start: int, kinds: frozenset,
         raise TraceStartError(
             f"E001: {graph.model.elements[start].display_name()} is not a "
             f"node of the propagation graph")
+    adjacency = graph.adjacency(kinds, reverse)
     paths: dict[int, tuple[PropagationEdge, ...]] = {start: ()}
     frontier = [start]
     order = [start]
     while frontier:
         nxt: list[int] = []
         for node in sorted(frontier):
-            edges = graph.in_edges(node) if reverse else graph.out_edges(node)
-            if not reverse and NodeRole.RISK in graph.roles.get(node, set()):
-                continue  # risks are sinks
-            neighbours = sorted(
-                (edge for edge in edges if edge.kind in kinds),
-                key=lambda e: (e.source if reverse else e.target))
-            for edge in neighbours:
-                peer = edge.source if reverse else edge.target
-                if peer in paths:
-                    continue
-                paths[peer] = paths[node] + (edge,)
-                order.append(peer)
-                nxt.append(peer)
+            path = paths[node]
+            for peer, edge in adjacency.get(node, ()):
+                if peer not in paths:
+                    paths[peer] = path + (edge,)
+                    nxt.append(peer)
+        order.extend(nxt)
         frontier = nxt
     return TraceResult(start=start, reached=tuple(order), paths=paths)
 
@@ -225,9 +254,8 @@ def backward_trace(graph: PropagationGraph, failure: int,
                    effects_only: bool = False) -> TraceResult:
     kinds = EFFECT_CHAIN_KINDS if effects_only else TRACE_KINDS
     walk = _walk(graph, failure, kinds, reverse=True)
-    roots = tuple(
-        node for node in walk.reached
-        if graph.roles.get(node, set()) & {NodeRole.SOURCE, NodeRole.SPECIFICATION})
+    roots = tuple(node for node in walk.reached
+                  if not _ROOT_ROLES.isdisjoint(graph.roles.get(node, ())))
     return replace(walk, roots=roots)
 
 

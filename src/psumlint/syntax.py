@@ -223,6 +223,9 @@ class Parser:
         self.diagnostics: list[Diagnostic] = list(lex_diags)
         #: open blocks plus open ``not``/``(`` levels: one budget for both
         self.depth = 0
+        #: whether a block has reported the end of file; the blocks around
+        #: it close there too and report nothing more
+        self.eof_reported = False
 
     # -- helpers ------------------------------------------------------------
 
@@ -455,6 +458,8 @@ class Parser:
         starts no item; then the loop reports ``unexpected token`` followed
         by ``where``. A block that would open past MAX_BODY_NESTING levels,
         blocks and expression levels together, is reported and skipped.
+        At EOF only the innermost open block reports that it is never
+        closed.
         """
         if self.depth >= MAX_BODY_NESTING:
             self._error("P001", self.cur.peek().span,
@@ -466,7 +471,9 @@ class Parser:
             while True:
                 tok = self.cur.peek()
                 if tok.kind == TokenKind.EOF:
-                    self._error("P002", tok.span, f"{what} is never closed")
+                    if not self.eof_reported:
+                        self.eof_reported = True
+                        self._error("P002", tok.span, f"{what} is never closed")
                     return None
                 if tok.text == "}":
                     return self.cur.advance().span

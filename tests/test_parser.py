@@ -195,6 +195,17 @@ def test_pathological_nesting_is_reported_not_fatal():
     assert any(d.code == "P001" for d in diags)
 
 
+def test_unclosed_blocks_report_eof_once_from_the_innermost():
+    text = "package P { part a { part b { metadata m : M { x = 1;"
+    _, diags = parse(text)
+    assert [(d.code, d.span.start, d.message) for d in diags] == [
+        ("P002", len(text), "metadata body is never closed")]
+
+    # past the nesting cap: one P001, one P002 for the innermost open body
+    _, diags = parse("package P " + "{ part q " * 120)
+    assert [d.code for d in diags] == ["P001", "P002"]
+
+
 def test_redefines_keyword_equals_symbolic_form():
     symbolic, d1 = parse("package P { part a; part b :>> a; }")
     keyword, d2 = parse("package P { part a; part b redefines a; }")

@@ -9,6 +9,7 @@ from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
                                   TraceStartError, backward_trace,
                                   detect_cycles, forward_trace,
                                   reachable_set)
+from psumlint.source import SourceFile
 
 from conftest import ALL_FIXTURES, analyze_fixture
 
@@ -193,6 +194,105 @@ def test_detect_cycles_matches_path_enumeration(propagates, others):
     assert sorted(cycles) == sorted(_simple_cycles(adjacency))
     assert [cycle[0] for cycle in cycles] == sorted(c[0] for c in cycles)
     assert all(cycle[0] == min(cycle) for cycle in cycles)
+
+
+def _oracle_trace(graph, start, kinds, reverse):
+    """(reached, paths, roots) of a trace by the walk that filtered and
+    sorted the edges of every visited node, as traces did before the
+    graph kept its adjacency."""
+    paths = {start: ()}
+    frontier = [start]
+    order = [start]
+    while frontier:
+        nxt = []
+        for node in sorted(frontier):
+            edges = graph.in_edges(node) if reverse else graph.out_edges(node)
+            if not reverse and NodeRole.RISK in graph.roles.get(node, set()):
+                continue  # risks are sinks
+            neighbours = sorted(
+                (edge for edge in edges if edge.kind in kinds),
+                key=lambda e: (e.source if reverse else e.target))
+            for edge in neighbours:
+                peer = edge.source if reverse else edge.target
+                if peer in paths:
+                    continue
+                paths[peer] = paths[node] + (edge,)
+                order.append(peer)
+                nxt.append(peer)
+        frontier = nxt
+    roots = None
+    if reverse:
+        roots = tuple(
+            node for node in order
+            if graph.roles.get(node, set()) & {NodeRole.SOURCE,
+                                               NodeRole.SPECIFICATION})
+    return tuple(order), paths, roots
+
+
+def _assert_traces_match_oracle(graph):
+    for start in graph.nodes():
+        for kinds in (TRACE_KINDS, EFFECT_CHAIN_KINDS):
+            effects_only = kinds is EFFECT_CHAIN_KINDS
+            for reverse, trace in ((False, forward_trace),
+                                   (True, backward_trace)):
+                result = trace(graph, start, effects_only=effects_only)
+                assert (result.reached, result.paths, result.roots) == \
+                    _oracle_trace(graph, start, kinds, reverse)
+
+
+_OPERATION = st.one_of(
+    st.tuples(st.just("role"), _NODE, st.sampled_from(list(NodeRole))),
+    # a span offset merges provenance into an edge already present
+    st.tuples(st.just("edge"), _NODE, _NODE,
+              st.sampled_from(list(PropagationEdgeKind)),
+              st.none() | st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPERATION, max_size=40), st.integers(0, 40))
+def test_traces_match_filter_and_sort_oracle(operations, traced_at):
+    # parallel edges of several kinds, Groups edges, risks, self-loops and
+    # cycles all come up; tracing once midway fills the adjacency memo
+    # that the operations after it must invalidate
+    graph = PropagationGraph(model=None)
+    source = SourceFile(path="<test>", content="abcd")
+    for step, operation in enumerate(operations):
+        if step == traced_at:
+            _assert_traces_match_oracle(graph)
+        if operation[0] == "role":
+            graph.add_role(operation[1], operation[2])
+        else:
+            _, node, peer, kind, offset = operation
+            span = None if offset is None else source.span(offset, offset + 1)
+            graph.add_edge(node, peer, kind, span)
+    _assert_traces_match_oracle(graph)
+
+
+def test_adjacency_memo_follows_graph_changes():
+    def build():
+        graph = PropagationGraph(model=None)
+        for node in (1, 2, 3):
+            graph.add_role(node, NodeRole.UNCERTAINTY)
+        graph.add_edge(1, 2, PropagationEdgeKind.PROPAGATES, None)
+        return graph
+
+    graph, twin = build(), build()
+    assert forward_trace(graph, 1).reached == (1, 2)
+    assert graph == twin
+
+    graph.add_edge(2, 3, PropagationEdgeKind.PROPAGATES, None)
+    assert forward_trace(graph, 1).reached == (1, 2, 3)
+    assert backward_trace(graph, 3).reached == (3, 2, 1)
+
+    graph.add_role(2, NodeRole.RISK)
+    assert forward_trace(graph, 1).reached == (1, 2)
+    assert forward_trace(graph, 2).reached == (2,)
+    assert backward_trace(graph, 3).reached == (3, 2, 1)
+
+    twin.add_edge(2, 3, PropagationEdgeKind.PROPAGATES, None)
+    twin.add_role(2, NodeRole.RISK)
+    assert graph == twin
 
 
 def test_empty_graph_has_no_cycles():
