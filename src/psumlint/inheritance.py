@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import EdgeKind, INHERITANCE_KINDS, Model, SpecializationEdge
+from .model import EdgeKind, Model
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                       Provenance, StereotypeApplication)
@@ -39,18 +39,19 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
         self._kinds: dict[int, frozenset[str]] = {}
         self._lists: dict[int, list[StereotypeApplication]] = {}
         self._references: dict[int, tuple[StereotypeApplication, ...]] = {}
+        self._specifications: dict[int, list[int]] = {}
         self._firsts: dict[tuple[str, ...],
                            dict[int, Optional[StereotypeApplication]]] = {}
         kinds = self._kinds
         interned: dict[frozenset[str], frozenset[str]] = {}
         for eid in _post_order(model, (e.id for e in model.elements), kinds):
             direct = model.elements[eid].annotations
-            parents = model.parents(eid)
-            if not direct and len(parents) == 1:
-                kinds[eid] = kinds[parents[0]]
+            edges = model.inheritance_edges(eid)
+            if not direct and len(edges) == 1:
+                kinds[eid] = kinds[edges[0].target]
                 continue
             found = frozenset(app.stereotype for app in direct).union(
-                *(kinds[parent] for parent in parents))
+                *(kinds[edge.target] for edge in edges))
             kinds[eid] = interned.setdefault(found, found)
 
     def __getitem__(self, eid: int) -> list[StereotypeApplication]:
@@ -98,7 +99,7 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
                 memo[node] = own[0]
                 continue
             best = via = None
-            for edge in _inheritance_edges(model, node):
+            for edge in model.inheritance_edges(node):
                 found = memo[edge.target]
                 if found is not None and (best is None
                                           or _rank(found) < _rank(best)):
@@ -121,29 +122,46 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
         """
         memo = self._references
         model = self._model
-        chain: list[tuple[int, SpecializationEdge]] = []
-        node = eid
-        while node not in memo:
-            edges = _inheritance_edges(model, node)
+        for node in _post_order(model, (eid,), memo):
+            edges = model.inheritance_edges(node)
             if len(edges) > 1:
                 memo[node] = tuple(app for app in self[node] if _refers(app))
-                break
-            if not edges:
-                memo[node] = _own_references(model, node)
-                break
-            chain.append((node, edges[0]))
-            node = edges[0].target
-        refs = memo[node]
-        for child, edge in reversed(chain):
-            if edge.kind is EdgeKind.REDEFINITION:
+                continue
+            refs = memo[edges[0].target] if edges else ()
+            if edges and edges[0].kind is EdgeKind.REDEFINITION:
                 overridden = {app.stereotype
-                              for app in model.elements[child].annotations}
+                              for app in model.elements[node].annotations}
                 if any(app.stereotype in overridden for app in refs):
                     refs = tuple(app for app in refs
                                  if app.stereotype not in overridden)
-            own = _own_references(model, child)
-            refs = memo[child] = own + refs if own else refs
-        return refs
+            own = _own_references(model, node)
+            memo[node] = own + refs if own else refs
+        return memo[eid]
+
+    def specifications(self, eid: int) -> list[int]:
+        """Specification constraints owned by an element or its closure.
+
+        A single-edge element's list is its own constraints followed by its
+        parent's list, as its closure is the parent followed by the parent's
+        closure; any other element's is read off its closure. Lists are
+        kept, and the returned one belongs to the map.
+        """
+        memo = self._specifications
+        model = self._model
+        for node in _post_order(model, (eid,), memo):
+            edges = model.inheritance_edges(node)
+            if len(edges) == 1:
+                memo[node] = (self._owned_specifications((node,))
+                              + memo[edges[0].target])
+            else:
+                memo[node] = self._owned_specifications(
+                    (node, *model.specialization_closure(node)))
+        return memo[eid]
+
+    def _owned_specifications(self, scopes: tuple[int, ...]) -> list[int]:
+        return [child for scope in scopes
+                for child in self._model.elements[scope].owned
+                if INDETERMINACY_SPECIFICATION in self.kinds(child)]
 
 
 def effective_stereotypes(model: Model) -> EffectiveMap:
@@ -154,32 +172,29 @@ def effective_stereotypes(model: Model) -> EffectiveMap:
 
 def _post_order(model: Model, roots: Iterable[int],
                 done: Mapping[int, object]) -> Iterator[int]:
-    """Elements reachable from ``roots`` over ``model.parents`` and not in
-    ``done``, each after its parents; the caller adds each one to ``done``.
+    """Elements reachable from ``roots`` over ``model.inheritance_edges``
+    and not in ``done``, each after its parents; the caller adds each one
+    to ``done``, so a target that two edges share is yielded once.
 
     A depth-first walk with an explicit stack, so the depth of a
     specialization chain is not bounded by the interpreter's recursion
-    limit. ``model.parents`` is acyclic once the model is built, as R003
-    drops every edge that would close a cycle.
+    limit. The inheritance edges are acyclic once the model is built, as
+    R003 drops every edge that would close a cycle.
     """
     for root in roots:
         if root in done:
             continue
-        stack = [(root, iter(model.parents(root)))]
+        stack = [(root, iter(model.inheritance_edges(root)))]
         while stack:
-            eid, parents = stack[-1]
-            for target in parents:
-                if target not in done:
-                    stack.append((target, iter(model.parents(target))))
+            eid, edges = stack[-1]
+            for edge in edges:
+                if edge.target not in done:
+                    stack.append((edge.target,
+                                  iter(model.inheritance_edges(edge.target))))
                     break
             else:
                 stack.pop()
                 yield eid
-
-
-def _inheritance_edges(model: Model, eid: int) -> list[SpecializationEdge]:
-    return [edge for edge in model.out_edges(eid)
-            if edge.kind in INHERITANCE_KINDS]
 
 
 def _combine(model: Model, eid: int,
@@ -190,7 +205,7 @@ def _combine(model: Model, eid: int,
     combined: dict[tuple[str, int], StereotypeApplication] = {}
     for app in direct:
         combined[(app.stereotype, eid)] = app
-    for edge in _inheritance_edges(model, eid):
+    for edge in model.inheritance_edges(eid):
         redefines = edge.kind is EdgeKind.REDEFINITION
         hop = (edge.kind, edge.target)
         for inherited in lists[edge.target]:
@@ -261,41 +276,6 @@ def effective_characterization(effective: EffectiveMap, eid: int):
     for app in apps[1:]:
         merged = merged.merged_under(app.characterization)
     return merged
-
-
-def effective_specifications(model: Model, effective: EffectiveMap, eid: int,
-                             memo: Optional[dict[int, list[int]]] = None
-                             ) -> list[int]:
-    """Specification constraints owned by an element or its closure.
-
-    A single-parent element's list is its own constraints followed by its
-    parent's list, as its closure is the parent followed by the parent's
-    closure. ``memo`` shares the composed lists across calls over one model
-    and effective map; the returned list belongs to it.
-    """
-    if memo is None:
-        memo = {}
-    chain: list[int] = []
-    node = eid
-    while node not in memo:
-        parents = model.parents(node)
-        if len(parents) != 1:
-            memo[node] = _owned_specifications(
-                model, effective, (node, *model.specialization_closure(node)))
-            break
-        chain.append(node)
-        node = parents[0]
-    specs = memo[node]
-    for child in reversed(chain):
-        specs = memo[child] = _owned_specifications(
-            model, effective, (child,)) + specs
-    return specs
-
-
-def _owned_specifications(model: Model, effective: EffectiveMap,
-                          scopes: tuple[int, ...]) -> list[int]:
-    return [child for scope in scopes for child in model.elements[scope].owned
-            if has_effective(effective, child, INDETERMINACY_SPECIFICATION)]
 
 
 @dataclass(frozen=True)

@@ -70,27 +70,8 @@ class MetaclassCategory(enum.Enum):
     OTHER = "Other"
 
 
-_DEF_KIND_BY_KEYWORD = {
-    "part": ElementKind.PART_DEF, "item": ElementKind.ITEM_DEF,
-    "port": ElementKind.PORT_DEF, "attribute": ElementKind.ATTRIBUTE_DEF,
-    "action": ElementKind.ACTION_DEF, "state": ElementKind.STATE_DEF,
-    "constraint": ElementKind.CONSTRAINT_DEF,
-    "analysis": ElementKind.ANALYSIS_DEF,
-    "requirement": ElementKind.REQUIREMENT_DEF,
-    "occurrence": ElementKind.OCCURRENCE_DEF,
-}
-_USAGE_KIND_BY_KEYWORD = {
-    "part": ElementKind.PART_USAGE, "item": ElementKind.ITEM_USAGE,
-    "port": ElementKind.PORT_USAGE, "attribute": ElementKind.ATTRIBUTE_USAGE,
-    "action": ElementKind.ACTION_USAGE, "state": ElementKind.STATE_USAGE,
-    "constraint": ElementKind.CONSTRAINT_USAGE,
-    "analysis": ElementKind.ANALYSIS_USAGE,
-    "requirement": ElementKind.REQUIREMENT_USAGE,
-    "occurrence": ElementKind.OCCURRENCE_USAGE,
-    "message": ElementKind.MESSAGE_USAGE,
-    "metadata": ElementKind.METADATA_USAGE,
-    "ref": ElementKind.REF_USAGE,
-}
+#: element kinds by declaration keyword, plus " def" for a definition
+_KIND_BY_KEYWORD = {kind.value: kind for kind in ElementKind}
 
 _CATEGORY_BY_KIND = {
     ElementKind.PART_DEF: MetaclassCategory.OCCURRENCE_DEFINITION_LIKE,
@@ -214,8 +195,8 @@ class Model:
     While relationships resolve, a closure search that reaches an element in
     ``_unstarted`` raises ``_Unresolved`` so the builder resolves that
     element first, and nothing is cached: closures still grow and still hold
-    edges that cycle removal may drop. ``freeze`` indexes each element's
-    inheritance targets in ``_parents`` and starts the cache.
+    edges that cycle removal may drop. ``freeze`` re-indexes the kept edges
+    and starts the cache.
     """
 
     files: tuple[SourceFile, ...]
@@ -231,9 +212,12 @@ class Model:
     imports: dict[int, tuple[tuple[int, bool], ...]] = field(default_factory=dict)
     _direct: dict[int, dict[str, int]] = field(default_factory=dict)
     _root_scope: dict[str, int] = field(default_factory=dict)
+    #: element -> its edges, in edge order; set by freeze
     _out: dict[int, Sequence[SpecializationEdge]] = field(default_factory=dict)
-    #: element -> its distinct inheritance targets, in edge order; set by freeze
-    _parents: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    #: element -> its edges of ``INHERITANCE_KINDS``, in edge order; grown
+    #: as edges resolve, rebuilt by freeze
+    _inherits: dict[int, Sequence[SpecializationEdge]] = field(
+        default_factory=dict)
     _closure_cache: Optional[dict[int, tuple[int, ...]]] = None
     #: elements whose relationships the builder has not started resolving
     _unstarted: set[int] = field(default_factory=set)
@@ -243,10 +227,10 @@ class Model:
     def out_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         return self._out.get(eid, ())
 
-    def parents(self, eid: int) -> tuple[int, ...]:
-        """Distinct targets of an element's inheritance edges, in edge
-        order; empty until ``freeze``."""
-        return self._parents.get(eid, ())
+    def inheritance_edges(self, eid: int) -> Sequence[SpecializationEdge]:
+        """An element's edges of ``INHERITANCE_KINDS``, in edge order; two
+        of them may share a target."""
+        return self._inherits.get(eid, ())
 
     def specialization_closure(self, eid: int) -> tuple[int, ...]:
         """Transitive specialization targets, nearest first, self excluded.
@@ -264,8 +248,8 @@ class Model:
             node = queue[index]
             if node in self._unstarted:
                 raise _Unresolved(node, eid, (queue, seen, index))
-            for edge in self.out_edges(node):
-                if edge.kind in INHERITANCE_KINDS and edge.target not in seen:
+            for edge in self.inheritance_edges(node):
+                if edge.target not in seen:
                     seen.add(edge.target)
                     queue.append(edge.target)
             index += 1
@@ -500,7 +484,7 @@ class _Builder:
         if node.kind == "Package":
             return ElementKind.PACKAGE
         if node.kind == "Definition":
-            return _DEF_KIND_BY_KEYWORD.get(node.attr("keyword"))
+            return _KIND_BY_KEYWORD.get(f"{node.attr('keyword')} def")
         if node.kind == "Transition":
             return ElementKind.TRANSITION_USAGE
         if node.kind == "MetadataUsage":
@@ -508,7 +492,7 @@ class _Builder:
         if node.kind == "Usage":
             keyword = node.attr("keyword")
             if keyword is not None:
-                return _USAGE_KIND_BY_KEYWORD.get(keyword)
+                return _KIND_BY_KEYWORD.get(keyword)
             modifiers = set(node.attr("modifiers", ()))
             if "objective" in modifiers:
                 return ElementKind.REQUIREMENT_USAGE
@@ -643,7 +627,8 @@ class _Builder:
         edge = SpecializationEdge(source=eid, target=ids[-1], kind=kind,
                                   span=path.span, conjugated=conjugated)
         self.edges.append(edge)
-        self.model._out.setdefault(eid, []).append(edge)
+        if kind in INHERITANCE_KINDS:
+            self.model._inherits.setdefault(eid, []).append(edge)
         if kind in (EdgeKind.REDEFINITION, EdgeKind.REFERENCE_SUBSETTING):
             element.ref_targets += (_make_ref_target(ids, path, kind),)
 
@@ -664,11 +649,9 @@ class _Builder:
         the inheritance edges, so only an edge inside a component is
         searched, and the search stays inside that component.
         """
-        successors: dict[int, list[int]] = {}
-        for edge in self.edges:
-            if edge.kind in INHERITANCE_KINDS:
-                successors.setdefault(edge.source, []).append(edge.target)
-        component = strongly_connected(successors)
+        component = strongly_connected(
+            {source: [edge.target for edge in edges]
+             for source, edges in self.model._inherits.items()})
         kept: list[SpecializationEdge] = []
         # kept inheritance edges inside a component, source -> targets
         inside: dict[int, list[int]] = {}
@@ -705,15 +688,15 @@ class _Builder:
     def freeze(self) -> Model:
         """Install the acyclic edge set and switch the model to caching."""
         out: dict[int, list[SpecializationEdge]] = {}
-        parents: dict[int, dict[int, None]] = {}
+        inherits: dict[int, list[SpecializationEdge]] = {}
         for edge in self.edges:
             out.setdefault(edge.source, []).append(edge)
             if edge.kind in INHERITANCE_KINDS:
-                parents.setdefault(edge.source, {})[edge.target] = None
+                inherits.setdefault(edge.source, []).append(edge)
         model = self.model
         model.edges = tuple(self.edges)
         model._out = {k: tuple(v) for k, v in out.items()}
-        model._parents = {k: tuple(v) for k, v in parents.items()}
+        model._inherits = {k: tuple(v) for k, v in inherits.items()}
         model._closure_cache = {}
         return model
 

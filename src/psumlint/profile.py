@@ -16,7 +16,7 @@ stereotype applications of their own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
 from importlib import resources
 from typing import Iterable, Optional
@@ -51,34 +51,34 @@ class ProfileCatalog:
     risk_levels: tuple[str, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "version": 1,
-            "stereotypes": {k: list(v) for k, v in self.stereotypes.items()},
-            "uncertainty_kinds": self.uncertainty_kinds,
-            "uncertainty_natures": self.uncertainty_natures,
-            "perspectives": self.perspectives,
-            "indeterminacy_natures": self.indeterminacy_natures,
-            "reducibility_levels": list(self.reducibility_levels),
-            "patterns": list(self.patterns),
-            "measurement_features": list(self.measurement_features),
-            "risk_levels": list(self.risk_levels),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps({"version": 1, **asdict(self)}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ProfileCatalog":
+        """Read a catalog; a missing field raises ``KeyError`` and a field
+        of the wrong JSON type ``ValueError``."""
         data = json.loads(text)
-        return cls(
-            stereotypes={k: tuple(v) for k, v in data["stereotypes"].items()},
-            uncertainty_kinds=dict(data["uncertainty_kinds"]),
-            uncertainty_natures=dict(data["uncertainty_natures"]),
-            perspectives=dict(data["perspectives"]),
-            indeterminacy_natures=dict(data["indeterminacy_natures"]),
-            reducibility_levels=tuple(data["reducibility_levels"]),
-            patterns=tuple(data["patterns"]),
-            measurement_features=tuple(data["measurement_features"]),
-            risk_levels=tuple(data["risk_levels"]),
-        )
+        if not isinstance(data, dict):
+            raise ValueError("a profile catalog must be a JSON object")
+        # annotations are postponed, so ``spec.type`` is a string
+        return cls(**{spec.name: _read_field(data[spec.name], spec.type,
+                                             spec.name)
+                      for spec in fields(cls)})
+
+
+def _read_field(value: object, shape: str, name: str):
+    """A catalog field's JSON ``value`` as ``shape``: ``str``,
+    ``tuple[str, ...]`` or ``dict[str, <shape>]``."""
+    if shape == "str" and isinstance(value, str):
+        return value
+    if shape == "tuple[str, ...]" and isinstance(value, list):
+        return tuple(_read_field(item, "str", name) for item in value)
+    if shape.startswith("dict[str, ") and isinstance(value, dict):
+        inner = shape[len("dict[str, "):-1]
+        return {key: _read_field(item, inner, name)
+                for key, item in value.items()}
+    raise ValueError(f"catalog field {name!r}: expected {shape}, "
+                     f"found {type(value).__name__}")
 
 
 def load_catalog(path: Optional[str] = None) -> ProfileCatalog:

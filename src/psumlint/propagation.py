@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Optional
 
-from .inheritance import EffectiveMap, effective_specifications, has_effective
+from .inheritance import EffectiveMap, has_effective
 from .model import Model, strongly_connected
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
@@ -167,11 +167,9 @@ def build_propagation_graph(model: Model,
             # definition) groups nothing, so only declared topics are nodes
             graph.add_role(eid, NodeRole.TOPIC)
 
-    specs_memo: dict[int, list[int]] = {}
     for eid, roles in list(graph.roles.items()):
         if NodeRole.SOURCE in roles:
-            for spec in effective_specifications(model, effective, eid,
-                                                 specs_memo):
+            for spec in effective.specifications(eid):
                 graph.add_role(spec, NodeRole.SPECIFICATION)
                 graph.add_edge(eid, spec, PropagationEdgeKind.SPECIFIES,
                                model.elements[spec].span)

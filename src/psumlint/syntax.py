@@ -226,6 +226,8 @@ class Parser:
         #: whether a block has reported the end of file; the blocks around
         #: it close there too and report nothing more
         self.eof_reported = False
+        #: the span of the last error reported here
+        self.error_span: Optional[Span] = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -253,6 +255,11 @@ class Parser:
         return None
 
     def _error(self, code: str, span: Span, message: str) -> None:
+        """Report an error, unless it is a P002 at the span of the last
+        one: a caller failing on the token its clause parser failed on."""
+        if code == "P002" and span == self.error_span:
+            return
+        self.error_span = span
         self.diagnostics.append(diagnostics.make(code, span, message))
 
     def _skip(self, to_semicolon: bool) -> Token:

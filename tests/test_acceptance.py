@@ -11,7 +11,6 @@ from decimal import Decimal
 
 from psumlint.api import analyze_text
 from psumlint.diagnostics import RULE_CATALOG, Severity
-from psumlint.inheritance import effective_specifications
 from psumlint.lexer import reconstruct, tokenize
 from psumlint.profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
                               Provenance, StereotypeApplication,
@@ -114,7 +113,7 @@ def test_criterion_4_stereotype_inheritance():
         assert len(sources) == 1
         assert sources[0].nature == "NonDeterminism"
         specs = {model.elements[s].name
-                 for s in effective_specifications(model, frigate.effective, eid)}
+                 for s in frigate.effective.specifications(eid)}
         assert specs == {"Operational", "NotOperational"}
     verdict(4, "4 ports inherit the source by typing; PodPort and DroneBay "
                "inherit the source plus both specifications")

@@ -250,6 +250,29 @@ def test_profile_catalog_bad_file(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("field, value", [
+    ("uncertainty_kinds", [1, 2]),
+    ("stereotypes", {"Uncertainty": 5}),
+    ("risk_levels", 7),
+    (None, ["not", "an", "object"]),
+])
+def test_profile_catalog_of_wrong_shape_is_a_usage_error(tmp_path, capsys,
+                                                         field, value):
+    data = json.loads(profile.DEFAULT_CATALOG.to_json())
+    if field is None:
+        data = value
+    else:
+        data[field] = value
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = invoke(capsys, "--profile-catalog", str(catalog_path),
+                            "check", fixture_path("acc.sysml"))
+    assert (code, out) == (3, "")
+    assert "cannot load profile catalog" in err
+    assert (repr(field) if field else "JSON object") in err
+    assert "Traceback" not in err
+
+
 def test_no_color_env_variable(capsys, monkeypatch, tmp_path):
     warny = tmp_path / "warn.sysml"
     warny.write_text(fixture_text("acc.sysml").replace(

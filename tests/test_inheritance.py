@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psumlint.api import Analysis, analyze_text
-from psumlint.inheritance import (derived_report, effective_specifications,
-                                  effective_stereotypes, has_effective)
+from psumlint.inheritance import (derived_report, effective_stereotypes,
+                                  has_effective)
 from psumlint.model import INHERITANCE_KINDS, EdgeKind
 from psumlint.profile import (DEFAULT_CATALOG, EFFECT, INDETERMINACY_SOURCE,
-                              UNCERTAINTY)
+                              INDETERMINACY_SPECIFICATION, UNCERTAINTY)
 
 from conftest import specialization_model
 
@@ -30,7 +30,7 @@ def test_ports_inherit_source_via_typing(interaction):
     assert [kind for kind, _ in app.provenance.path] == [EdgeKind.FEATURE_TYPING]
     origin = model.elements[app.provenance.origin]
     assert origin.qualified_name == "Configuration::PublicationPort"
-    specs = effective_specifications(model, effective, port)
+    specs = effective.specifications(port)
     assert names(interaction, specs) == [
         "Configuration::PublicationPort::publicationPortNotOperational",
         "Configuration::PublicationPort::publicationPortOperational",
@@ -62,7 +62,7 @@ def test_subclassification_inherits_source_and_specs(frigate):
         assert [k for k, _ in apps[0].provenance.path] == \
             [EdgeKind.SUBCLASSIFICATION]
         specs = {model.elements[s].name
-                 for s in effective_specifications(model, effective, eid)}
+                 for s in effective.specifications(eid)}
         assert specs == {"Operational", "NotOperational"}
 
 
@@ -376,6 +376,11 @@ def _check_against_oracle(model, order):
                 for a in effective.references(eid)] == \
             [(row[0], row[3].spec_refs, row[3].effect_refs)
              for row in oracle[eid] if _refers(row)]
+        assert effective.specifications(eid) == [
+            child for scope in (eid, *model.specialization_closure(eid))
+            for child in model.elements[scope].owned
+            if any(row[0] == INDETERMINACY_SPECIFICATION
+                   for row in oracle[child])]
     derived = derived_report(model, effective)
     expected = {"uncertain": [], "sources": []}
     for element in model.elements:
@@ -465,7 +470,8 @@ def test_effective_map_matches_eager_oracle_on_random_models(data):
         applied = data.draw(st.sampled_from(_APPLIED), label=name)
         refs = data.draw(st.lists(st.sampled_from(
             ["«IndeterminacySpecification» ref ::> S::C0;",
-             "«IndeterminacySpecification» ref ::> S::C1;"]
+             "«IndeterminacySpecification» ref ::> S::C1;",
+             f"«IndeterminacySpecification» constraint K{name};"]
             + [f"«Effect» ref ::> u{j};" for j in range(len(usages))]),
             max_size=2), label=f"{name} refs")
         decorations[name] = (applied, " ".join(refs))

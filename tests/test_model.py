@@ -364,11 +364,11 @@ def test_forward_chain_resolves_in_linear_work():
     text = (f"package P {{ part v : D0; part u :> v.m; {defs} "
             f"part def D{depth} {{ part m; }} }}")
     from psumlint.model import Model
-    with mock.patch.object(Model, "out_edges", autospec=True,
-                           side_effect=Model.out_edges) as out_edges:
+    with mock.patch.object(Model, "inheritance_edges", autospec=True,
+                           side_effect=Model.inheritance_edges) as edges:
         analysis = analyze_text(text)
     assert analysis.findings == []
     u = qn(analysis, "P::u")
     m = qn(analysis, f"P::D{depth}::m")
     assert [e.target for e in analysis.model.out_edges(u)] == [m]
-    assert out_edges.call_count < 10 * depth
+    assert edges.call_count < 10 * depth

@@ -206,6 +206,24 @@ def test_unclosed_blocks_report_eof_once_from_the_innermost():
     assert [d.code for d in diags] == ["P001", "P002"]
 
 
+def test_one_p002_per_bad_token_when_callers_fail_on_it_too():
+    # the clause parser and its caller both stop at one token; only the
+    # first, most specific P002 is kept
+    cases = [
+        ("package P { state def S { transition t first a do x then b; } }",
+         [("P002", "x", "expected 'send' or 'action' after 'do', found 'x'")]),
+        ("package P { import a::+; }",
+         [("P008", "+", "stray character '+'"),
+          ("P002", "+", "expected '*' after '::'")]),
+        ("package P { constraint c { (((a) ; } }",
+         [("P002", ";", "expected ')' to close the group, found ';'")]),
+    ]
+    for text, expected in cases:
+        _, diags = parse(text)
+        assert [(d.code, text[d.span.start:d.span.end], d.message)
+                for d in diags] == expected
+
+
 def test_redefines_keyword_equals_symbolic_form():
     symbolic, d1 = parse("package P { part a; part b :>> a; }")
     keyword, d2 = parse("package P { part a; part b redefines a; }")
