@@ -9,6 +9,12 @@ The token stream is lossless: joining token texts with the skipped
 whitespace between them reproduces the input byte-for-byte. Comments are
 ordinary tokens (the parser treats them as trivia).
 
+A token is an immutable record of its kind, text, ``[start, end)``
+character offsets, decoded value and file; the lexer builds it as a plain
+tuple, with no ``Span``. The parser builds spans from token offsets only
+for what the syntax tree and the diagnostics keep, and ``Token.span``
+builds one on demand for other readers.
+
 Annotation markers come in two equivalent spellings: the guillemets
 U+00AB/U+00BB and the ASCII fallback ``<<`` / ``>>``. Inside an annotation
 the lexer tracks ``<``/``>`` argument-list nesting so that ``>>>`` after an
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -83,12 +89,20 @@ _SIMPLE = {"punct": TokenKind.PUNCTUATION, "op": TokenKind.OPERATOR,
            "comment": TokenKind.COMMENT}
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One token. Tokens of one stream never compare equal, as their
+    offsets differ."""
+
     kind: TokenKind
     text: str
-    span: Span
-    value: str = ""
+    start: int
+    end: int
+    value: str
+    file: SourceFile
+
+    @property
+    def span(self) -> Span:
+        return Span(self.file, self.start, self.end)
 
     def __repr__(self) -> str:
         return f"Token({self.kind.value}, {self.text!r})"
@@ -117,6 +131,8 @@ class Lexer:
         n = len(text)
         append = self.tokens.append
         match = _TOKEN.match
+        new = tuple.__new__  # a Token without the keyword-argument __new__
+        keyword, identifier = TokenKind.KEYWORD, TokenKind.IDENTIFIER
         pos, in_annotation, angle_depth = 0, False, 0
         while pos < n:
             m = match(text, pos)
@@ -130,10 +146,13 @@ class Lexer:
                     in_annotation, angle_depth = False, 0
                 pos = end
                 continue
-            if group == "word":
+            if group == "word":  # the most common token: its text is its value
                 value = text[pos:end]
-                kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENTIFIER
-            elif group in _SIMPLE:
+                append(new(Token, (keyword if value in KEYWORDS else identifier,
+                                   value, pos, end, value, source)))
+                pos = end
+                continue
+            if group in _SIMPLE:
                 kind = _SIMPLE[group]
             elif group == "angle":
                 kind = TokenKind.OPERATOR
@@ -170,11 +189,11 @@ class Lexer:
             else:
                 self._diag("P008", pos, end, f"stray character {text[pos]!r}")
                 kind = TokenKind.PUNCTUATION
-            append(Token(kind, text[pos:end], Span(source, pos, end), value))
+            append(new(Token, (kind, text[pos:end], pos, end, value, source)))
             pos = end
         if in_annotation:
             self._diag("P005", n, n, "annotation not closed before end of file")
-        append(Token(TokenKind.EOF, "", Span(source, n, n)))
+        append(Token(TokenKind.EOF, "", n, n, "", source))
         return self.tokens, self.diagnostics
 
 
@@ -188,8 +207,8 @@ def reconstruct(source: SourceFile, tokens: list[Token]) -> str:
     parts = []
     prev_end = 0
     for tok in tokens:
-        parts.append(source.content[prev_end:tok.span.start])
+        parts.append(source.content[prev_end:tok.start])
         parts.append(tok.text)
-        prev_end = tok.span.end
+        prev_end = tok.end
     parts.append(source.content[prev_end:])
     return "".join(parts)

@@ -1,9 +1,11 @@
 """Source file handling: character-offset bookkeeping and spans.
 
-Every token, syntax node, element and diagnostic carries a Span pointing
-back into a SourceFile, so downstream consumers can render file:line:column
+Every syntax node, element and diagnostic carries a Span pointing back
+into a SourceFile, so downstream consumers can render file:line:column
 locations without re-scanning the input. A span stores only its offsets;
 line and column are looked up in the file's line-start index when read.
+Tokens hold bare offsets; the parser builds a Span from them only for what
+the tree and the diagnostics keep, and every Span checks its bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ class SourceFile:
 
     @classmethod
     def read(cls, path: str) -> "SourceFile":
-        with open(path, "r", encoding="utf-8") as fh:
+        """The file at ``path``, decoded as UTF-8 without a leading byte-order
+        mark, so offsets, lines and columns count from the first character
+        of the model text."""
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls(path=path, content=fh.read())
 
     def line_col(self, offset: int) -> tuple[int, int]:
@@ -78,9 +83,3 @@ class Span:
     def __repr__(self) -> str:  # keep reprs short in test failures
         return f"Span({self.location()}+{self.end - self.start})"
 
-
-def cover(a: Span, b: Span) -> Span:
-    """Smallest span covering both a and b (same file)."""
-    start = min(a.start, b.start)
-    end = max(a.end, b.end)
-    return a.file.span(start, end)

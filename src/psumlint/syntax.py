@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 from . import diagnostics
 from .diagnostics import Diagnostic
 from .lexer import Token, TokenKind, tokenize
-from .source import SourceFile, Span, cover
+from .source import SourceFile, Span
 
 #: declaration keywords usable both bare (usages) and with ``def``
 #: (definitions); transition, message, metadata and ref are usage-only
@@ -162,40 +162,47 @@ class AcceptClause:
     via: Optional[NamePath] = None
 
 
+_TRIVIA_KINDS = (TokenKind.COMMENT, TokenKind.DOC_COMMENT)
+
+
 class _Cursor:
     """Token cursor that skips comment trivia, stashing it for attachment.
 
     The significant tokens are split out once, with the comments lexed
-    before each one, so peeking and advancing are index arithmetic.
+    before each one, so looking ahead and advancing are index arithmetic.
+    The EOF token is stored twice, so that looking past it needs no bounds
+    check.
     """
 
     def __init__(self, tokens: list[Token]):
-        self.tokens: list[Token] = []
+        self.tokens = [tok for tok in tokens if tok.kind not in _TRIVIA_KINDS]
+        #: the comments before each significant token, by its index; the
+        #: comment at stream index i follows i - rank significant tokens
         self.trivia_before: dict[int, list[Token]] = {}
-        comments: list[Token] = []
-        for tok in tokens:
-            if tok.kind is TokenKind.COMMENT or tok.kind is TokenKind.DOC_COMMENT:
-                comments.append(tok)
-            else:
-                if comments:
-                    self.trivia_before[len(self.tokens)] = comments
-                    comments = []
-                self.tokens.append(tok)
+        comments = [i for i, tok in enumerate(tokens) if tok.kind in _TRIVIA_KINDS]
+        for rank, i in enumerate(comments):
+            self.trivia_before.setdefault(i - rank, []).append(tokens[i])
+        #: the index of the EOF token, where the cursor stops
+        self.last = len(self.tokens) - 1
+        self.tokens.append(self.tokens[-1])
         self.index = 0
+        #: the current token, ``tokens[index]``
+        self.tok = self.tokens[0]
         self.pending_trivia: list[Token] = list(self.trivia_before.get(0, ()))
 
-    def peek(self, ahead: int = 0) -> Token:
-        try:
-            return self.tokens[self.index + ahead]
-        except IndexError:
-            return self.tokens[-1]
+    def lookahead(self) -> Token:
+        """The token after the current one."""
+        return self.tokens[self.index + 1]
 
     def advance(self) -> Token:
         """Consume one token; at the final EOF token the cursor stays put."""
-        tok = self.tokens[self.index]
-        if self.index + 1 < len(self.tokens):
-            self.index += 1
-            self.pending_trivia.extend(self.trivia_before.get(self.index, ()))
+        tok = self.tok
+        index = self.index + 1
+        if index <= self.last:
+            self.index = index
+            self.tok = self.tokens[index]
+            if index in self.trivia_before:
+                self.pending_trivia.extend(self.trivia_before[index])
         return tok
 
     def take_trivia(self) -> list[Token]:
@@ -226,21 +233,27 @@ class Parser:
         #: whether a block has reported the end of file; the blocks around
         #: it close there too and report nothing more
         self.eof_reported = False
-        #: the span of the last error reported here
-        self.error_span: Optional[Span] = None
+        #: the offsets of the last error reported here
+        self.error_at: Optional[tuple[int, int]] = None
 
     # -- helpers ------------------------------------------------------------
+
+    def _span(self, first: Union[Token, Span],
+              last: Union[Token, Span, None] = None) -> Span:
+        """The span from the start of ``first`` to the end of ``last``, a
+        token or span at or after it, or of ``first`` alone."""
+        return Span(self.source, first.start, (first if last is None else last).end)
 
     def _at(self, text: str) -> bool:
         # every text asked about is a keyword, operator or punctuation, and
         # no identifier, literal or bracket token lexes to one of those
-        return self.cur.peek().text == text
+        return self.cur.tok.text == text
 
     def _at_kind(self, kind: TokenKind) -> bool:
-        return self.cur.peek().kind == kind
+        return self.cur.tok.kind == kind
 
     def _at_name(self) -> bool:
-        return self.cur.peek().kind in _NAME_KINDS
+        return self.cur.tok.kind in _NAME_KINDS
 
     def _eat(self, text: str) -> Optional[Token]:
         if self._at(text):
@@ -250,17 +263,19 @@ class Parser:
     def _expect(self, text: str, context: str) -> Optional[Token]:
         if self._at(text):
             return self.cur.advance()
-        tok = self.cur.peek()
-        self._error("P002", tok.span, f"expected {text!r} {context}, found {tok.text!r}")
+        tok = self.cur.tok
+        self._error("P002", tok, f"expected {text!r} {context}, found {tok.text!r}")
         return None
 
-    def _error(self, code: str, span: Span, message: str) -> None:
-        """Report an error, unless it is a P002 at the span of the last
-        one: a caller failing on the token its clause parser failed on."""
-        if code == "P002" and span == self.error_span:
+    def _error(self, code: str, at: Union[Token, Span], message: str) -> None:
+        """Report an error at the offsets of ``at``, unless it is a P002 at
+        those of the last one: a caller failing on the token its clause
+        parser failed on."""
+        offsets = (at.start, at.end)
+        if code == "P002" and offsets == self.error_at:
             return
-        self.error_span = span
-        self.diagnostics.append(diagnostics.make(code, span, message))
+        self.error_at = offsets
+        self.diagnostics.append(diagnostics.make(code, self._span(at), message))
 
     def _skip(self, to_semicolon: bool) -> Token:
         """Skip over balanced braces to the first ``}`` of this level or EOF,
@@ -268,7 +283,7 @@ class Parser:
         consumed. Returns the token the skip stopped at."""
         depth = 0
         while True:
-            tok = self.cur.peek()
+            tok = self.cur.tok
             if tok.kind == TokenKind.EOF:
                 return tok
             if tok.text == "{":
@@ -288,21 +303,26 @@ class Parser:
     def _name_token(self, context: str) -> Optional[Token]:
         if self._at_name():
             return self.cur.advance()
-        tok = self.cur.peek()
-        self._error("P002", tok.span, f"expected a name {context}, found {tok.text!r}")
+        tok = self.cur.tok
+        self._error("P002", tok, f"expected a name {context}, found {tok.text!r}")
         return None
 
     def _ident_value(self, tok: Token) -> str:
         return tok.value if tok.kind == TokenKind.QUOTED_IDENTIFIER else tok.text
 
-    def _header(self, node: AstNode, annotation: Optional[AnnotationClause] = None,
-                **attrs) -> AstNode:
-        """Attach the annotation, widening the span over it, then those of
-        ``attrs`` that are set, then the comment trivia read so far."""
+    def _header(self, kind: str, first: Union[Token, Span],
+                annotation: Optional[AnnotationClause] = None,
+                attrs: Optional[dict] = None, **extra) -> AstNode:
+        """A ``kind`` node spanning ``first`` and, before it, the annotation;
+        its attrs are ``attrs``, the annotation, those of ``extra`` that are
+        set, then the comment trivia read so far."""
+        node = AstNode(kind, self._span(annotation.span if annotation else first, first),
+                       {} if attrs is None else attrs)
         if annotation:
             node.attrs["annotation"] = annotation
-            node.span = cover(annotation.span, node.span)
-        node.attrs.update((name, value) for name, value in attrs.items() if value)
+        for name, value in extra.items():
+            if value:
+                node.attrs[name] = value
         trivia = self.cur.take_trivia()
         if trivia:
             node.attrs["trivia"] = tuple(t.text for t in trivia)
@@ -312,7 +332,7 @@ class Parser:
                        node: Optional[AstNode] = None) -> dict:
         """Parse clauses, in any order, while the current token opens one
         of ``table``'s; each entry is called with ``attrs`` and ``node``."""
-        while (clause := table.get(self.cur.peek().text)) is not None:
+        while (clause := table.get(self.cur.tok.text)) is not None:
             clause(self, attrs, node)
         return attrs
 
@@ -325,13 +345,12 @@ class Parser:
     def _path_from(self, first: Token) -> NamePath:
         """The path that begins with the name ``first``, already consumed."""
         segments = [self._ident_value(first)]
-        end_span = first.span
-        while self.cur.peek().text in (".", "::") and self.cur.peek(1).kind in _NAME_KINDS:
+        last = first
+        while self.cur.tok.text in (".", "::") and self.cur.lookahead().kind in _NAME_KINDS:
             self.cur.advance()
-            seg = self.cur.advance()
-            segments.append(self._ident_value(seg))
-            end_span = seg.span
-        return NamePath(tuple(segments), cover(first.span, end_span))
+            last = self.cur.advance()
+            segments.append(self._ident_value(last))
+        return NamePath(tuple(segments), self._span(first, last))
 
     def parse_type_ref(self, context: str) -> Optional[TypeRef]:
         conjugated = bool(self._eat("~"))
@@ -352,26 +371,25 @@ class Parser:
         return self.parse_type_ref(context or "after ':'")
 
     def parse_value(self, context: str) -> Optional[Value]:
-        tok = self.cur.peek()
+        tok = self.cur.tok
         if tok.kind == TokenKind.NUMBER:
             self.cur.advance()
-            unit = None
-            span = tok.span
+            unit_tok = None
             if self._at_kind(TokenKind.UNIT_BRACKET):
                 unit_tok = self.cur.advance()
-                unit = unit_tok.value
-                span = cover(span, unit_tok.span)
-            return Value(kind="number", span=span, magnitude=Decimal(tok.text), unit=unit)
+            return Value(kind="number", span=self._span(tok, unit_tok),
+                         magnitude=Decimal(tok.text),
+                         unit=unit_tok.value if unit_tok else None)
         if tok.kind == TokenKind.STRING:
             self.cur.advance()
-            return Value(kind="string", span=tok.span, string=tok.value)
+            return Value(kind="string", span=self._span(tok), string=tok.value)
         if tok.text in ("true", "false") and tok.kind == TokenKind.KEYWORD:
             self.cur.advance()
-            return Value(kind="boolean", span=tok.span, string=tok.text)
+            return Value(kind="boolean", span=self._span(tok), string=tok.text)
         if tok.kind in _NAME_KINDS:
             path = self.parse_path(context)
             return Value(kind="name", span=path.span, path=path)
-        self._error("P002", tok.span, f"expected a value {context}, found {tok.text!r}")
+        self._error("P002", tok, f"expected a value {context}, found {tok.text!r}")
         return None
 
     # -- annotations ----------------------------------------------------------
@@ -383,29 +401,29 @@ class Parser:
         open_tok = self.cur.advance()
         entries: list[AnnotationEntry] = []
         raw = False
-        end_span = open_tok.span
+        last = open_tok
         while True:
-            tok = self.cur.peek()
+            tok = self.cur.tok
             if tok.kind == TokenKind.ANNOTATION_CLOSE:
-                end_span = self.cur.advance().span
+                last = self.cur.advance()
                 break
             if tok.kind == TokenKind.EOF:
                 break
             if tok.kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
-                self._error("P002", tok.span,
+                self._error("P002", tok,
                             f"unexpected {tok.text!r} inside annotation")
                 raw = True
                 # skip to close marker or give up at EOF
-                while self.cur.peek().kind not in (TokenKind.ANNOTATION_CLOSE, TokenKind.EOF):
+                while self.cur.tok.kind not in (TokenKind.ANNOTATION_CLOSE, TokenKind.EOF):
                     self.cur.advance()
                 continue
             name_tok = self.cur.advance()
             codes: list[str] = []
-            entry_span = name_tok.span
+            closer = None
             if self._at("<"):
                 self.cur.advance()
-                while not self._at(">") and self.cur.peek().kind != TokenKind.EOF:
-                    code_tok = self.cur.peek()
+                while not self._at(">") and self.cur.tok.kind != TokenKind.EOF:
+                    code_tok = self.cur.tok
                     if code_tok.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD,
                                          TokenKind.NUMBER):
                         codes.append(code_tok.text)
@@ -413,30 +431,28 @@ class Parser:
                     elif self._at(","):
                         self.cur.advance()
                     else:
-                        self._error("P002", code_tok.span,
+                        self._error("P002", code_tok,
                                     f"unexpected {code_tok.text!r} in annotation arguments")
                         raw = True
                         self.cur.advance()
                 closer = self._eat(">")
-                if closer:
-                    entry_span = cover(entry_span, closer.span)
             entries.append(AnnotationEntry(name=name_tok.text, codes=tuple(codes),
-                                           span=entry_span))
+                                           span=self._span(name_tok, closer)))
             self._eat(",")
         return AnnotationClause(entries=tuple(entries),
-                                span=cover(open_tok.span, end_span), raw=raw)
+                                span=self._span(open_tok, last), raw=raw)
 
     # -- top level ------------------------------------------------------------
 
     def parse_file(self) -> AstNode:
         root = AstNode(kind="Root", span=self.source.span(0, len(self.source.content)))
-        while self.cur.peek().kind != TokenKind.EOF:
+        while self.cur.tok.kind != TokenKind.EOF:
             annotation = self.parse_annotation()
             if self._at("package"):
                 root.children.append(self.parse_package(annotation))
             else:
-                tok = self.cur.peek()
-                self._error("P001", tok.span,
+                tok = self.cur.tok
+                self._error("P001", tok,
                             f"unsupported construct at top level: {tok.text!r}")
                 self._recover()
                 self._eat("}")
@@ -445,20 +461,20 @@ class Parser:
     def parse_package(self, annotation: Optional[AnnotationClause]) -> AstNode:
         start = self.cur.advance()  # 'package'
         name_tok = self._name_token("after 'package'")
-        node = self._header(AstNode(kind="Package", span=start.span, attrs={
+        node = self._header("Package", start, annotation, {
             "name": self._ident_value(name_tok) if name_tok else None,
-        }), annotation)
+        })
         if self._expect("{", "to open the package body"):
             close = self.parse_block(node, partial(self.parse_statement, "general"), "body")
-            node.span = cover(node.span, close or self.cur.peek().span)
+            node.span = self._span(node.span, close or self.cur.tok)
         return node
 
     # -- blocks -----------------------------------------------------------------
 
     def parse_block(self, node: AstNode, item: Callable[[], Union[AstNode, None, bool]],
-                    what: str, where: str = "") -> Optional[Span]:
+                    what: str, where: str = "") -> Optional[Token]:
         """Parse items into ``node`` up to the matching ``}`` (already past
-        ``{``); returns the span of the ``}``, or None at EOF.
+        ``{``); returns the ``}``, or None at EOF.
 
         ``item()`` parses one item at the current token: it returns the
         item's node, None when it adds no node, or False when the token
@@ -469,28 +485,28 @@ class Parser:
         closed.
         """
         if self.depth >= MAX_BODY_NESTING:
-            self._error("P001", self.cur.peek().span,
+            self._error("P001", self.cur.tok,
                         f"nesting deeper than {MAX_BODY_NESTING} levels")
             closer = self._skip(to_semicolon=False)
-            return self.cur.advance().span if closer.text == "}" else None
+            return self.cur.advance() if closer.text == "}" else None
         self.depth += 1
         try:
             while True:
-                tok = self.cur.peek()
+                tok = self.cur.tok
                 if tok.kind == TokenKind.EOF:
                     if not self.eof_reported:
                         self.eof_reported = True
-                        self._error("P002", tok.span, f"{what} is never closed")
+                        self._error("P002", tok, f"{what} is never closed")
                     return None
                 if tok.text == "}":
-                    return self.cur.advance().span
+                    return self.cur.advance()
                 if tok.text == ";":
                     self.cur.advance()
                     continue
                 child = item()
                 if child is False:
-                    tok = self.cur.peek()
-                    self._error("P002", tok.span, f"unexpected token {tok.text!r}{where}")
+                    tok = self.cur.tok
+                    self._error("P002", tok, f"unexpected token {tok.text!r}{where}")
                     self._recover()
                 elif child is not None:
                     node.children.append(child)
@@ -499,7 +515,7 @@ class Parser:
 
     def parse_statement(self, body_kind: str) -> Union[AstNode, None, bool]:
         annotation = self.parse_annotation()
-        tok = self.cur.peek()
+        tok = self.cur.tok
 
         if tok.kind == TokenKind.KEYWORD:
             word = tok.text
@@ -522,18 +538,18 @@ class Parser:
                 return self.parse_transition(annotation)
             if word == "metadata":
                 return self.parse_metadata(annotation)
-            if word == "measurement" and self.cur.peek(1).text == "{":
+            if word == "measurement" and self.cur.lookahead().text == "{":
                 return self.parse_measurement()
             if body_kind == "constraint" and word in ("not", "true", "false"):
                 return self.parse_expression_statement()
             return self.parse_member(annotation, visibility=None)
 
         if tok.kind in _NAME_KINDS:
-            if self.cur.peek(1).text == "=":
+            if self.cur.lookahead().text == "=":
                 return self.parse_body_property()
             if body_kind == "constraint":
                 return self.parse_expression_statement()
-            self._error("P001", tok.span, f"unsupported construct: {tok.text!r}")
+            self._error("P001", tok, f"unsupported construct: {tok.text!r}")
             self._recover()
             return None
 
@@ -545,7 +561,7 @@ class Parser:
     def parse_member(self, annotation: Optional[AnnotationClause],
                      visibility: Optional[str]) -> Optional[AstNode]:
         """Definition or usage statement starting at a declaration keyword."""
-        tok = self.cur.peek()
+        tok = self.cur.tok
         word = tok.text
         direction = None
         modifiers: list[str] = []
@@ -553,7 +569,7 @@ class Parser:
         if word in ("in", "out"):
             direction = word
             self.cur.advance()
-            tok = self.cur.peek()
+            tok = self.cur.tok
             word = tok.text
         while word in ("ref", "perform", "exhibit", "do", "assume", "entry"):
             modifiers.append(word)
@@ -562,7 +578,7 @@ class Parser:
                 # standalone "do send S(...)" acts as an anonymous action
                 return self.parse_usage(annotation, visibility, direction,
                                         modifiers, keyword="action")
-            tok = self.cur.peek()
+            tok = self.cur.tok
             word = tok.text
 
         if word in ("subject", "objective", "return", "require"):
@@ -572,9 +588,9 @@ class Parser:
                                     keyword=None)
 
         if word in DEF_KEYWORDS:
-            if self.cur.peek(1).text == "def":
+            if self.cur.lookahead().text == "def":
                 if modifiers or direction:
-                    self._error("P002", tok.span,
+                    self._error("P002", tok,
                                 "modifiers are not allowed on definitions")
                 self.cur.advance()
                 self.cur.advance()
@@ -591,7 +607,7 @@ class Parser:
             # e.g. "ref ::> chain" or "in status = x" with no declaration keyword
             return self.parse_usage(annotation, visibility, direction, modifiers,
                                     keyword=None)
-        self._error("P001", tok.span, f"unsupported construct: {word!r}")
+        self._error("P001", tok, f"unsupported construct: {word!r}")
         self._recover()
         return None
 
@@ -599,12 +615,12 @@ class Parser:
 
     def parse_definition(self, annotation: Optional[AnnotationClause],
                          keyword: str) -> AstNode:
-        start_span = self.cur.peek().span
+        start = self.cur.tok
         name_tok = self._name_token(f"after '{keyword} def'")
-        node = self._header(AstNode(kind="Definition", span=start_span, attrs={
+        node = self._header("Definition", start, annotation, {
             "keyword": keyword,
             "name": self._ident_value(name_tok) if name_tok else None,
-        }), annotation)
+        })
         if self._at_kind(TokenKind.MULTIPLICITY_BRACKET):
             node.attrs["multiplicity"] = self.cur.advance().value
         specializes: list[TypeRef] = []
@@ -624,10 +640,9 @@ class Parser:
                     visibility: Optional[str], direction: Optional[str],
                     modifiers: list[str], keyword: Optional[str],
                     inline: bool = False) -> AstNode:
-        node = self._header(
-            AstNode(kind="Usage", span=self.cur.peek().span, attrs={"keyword": keyword}),
-            annotation, visibility=visibility, direction=direction,
-            modifiers=tuple(modifiers))
+        node = self._header("Usage", self.cur.tok, annotation, {"keyword": keyword},
+                            visibility=visibility, direction=direction,
+                            modifiers=tuple(modifiers))
         if self._at_name():
             name_tok = self.cur.advance()
             if self._at(".") or self._at("::"):
@@ -662,13 +677,13 @@ class Parser:
     def _finish_declaration(self, node: AstNode, body_kind: str,
                             required: bool = True) -> None:
         if self._at(";"):
-            node.span = cover(node.span, self.cur.advance().span)
+            node.span = self._span(node.span, self.cur.advance())
         elif self._eat("{"):
             close = self.parse_block(node, partial(self.parse_statement, body_kind), "body")
-            node.span = cover(node.span, close or self.cur.peek().span)
+            node.span = self._span(node.span, close or self.cur.tok)
         elif required:
-            tok = self.cur.peek()
-            self._error("P002", tok.span,
+            tok = self.cur.tok
+            self._error("P002", tok,
                         f"expected ';' or '{{' to finish the declaration, found {tok.text!r}")
             self._recover()
 
@@ -682,31 +697,31 @@ class Parser:
             if self._eat("*"):
                 wildcard = True
             else:
-                self._error("P002", self.cur.peek().span, "expected '*' after '::'")
+                self._error("P002", self.cur.tok, "expected '*' after '::'")
         elif self._eat("*"):
             wildcard = True
-        node = self._header(AstNode(kind="Import", span=start.span, attrs={
+        node = self._header("Import", start, None, {
             "target": path, "wildcard": wildcard, "visibility": visibility,
-        }))
+        })
         self._expect(";", "after import")
         return node
 
     def parse_doc(self) -> AstNode:
         start = self.cur.advance()  # 'doc'
-        # the comment body was stashed as trivia when peeking past 'doc'
+        # the comment body was stashed as trivia when advancing past 'doc'
         body = self.cur.last_doc_comment()
-        if body is None and self.cur.peek().kind == TokenKind.DOC_COMMENT:
+        if body is None and self.cur.tok.kind == TokenKind.DOC_COMMENT:
             body = self.cur.advance()
-        node = AstNode(kind="DocComment", span=start.span,
+        node = AstNode(kind="DocComment", span=self._span(start),
                        attrs={"text": body.text if body else ""})
         if body is None:
-            self._error("P002", start.span, "expected a comment after 'doc'")
+            self._error("P002", start, "expected a comment after 'doc'")
         self._eat(";")
         return node
 
     def parse_entry(self) -> AstNode:
         start = self.cur.advance()  # 'entry'
-        node = self._header(AstNode(kind="EntryAction", span=start.span))
+        node = self._header("EntryAction", start)
         if self._eat(";"):
             return node
         annotation = self.parse_annotation()
@@ -714,18 +729,18 @@ class Parser:
             node.children.append(self.parse_usage(annotation, None, None,
                                                   ["entry"], keyword="action"))
         else:
-            tok = self.cur.peek()
-            self._error("P002", tok.span,
+            tok = self.cur.tok
+            self._error("P002", tok,
                         f"expected ';' or 'action' after 'entry', found {tok.text!r}")
             self._recover()
         return node
 
     def parse_succession(self) -> AstNode:
         start = self.cur.advance()  # 'then'
-        node = self._header(AstNode(kind="SuccessionThen", span=start.span))
+        node = self._header("SuccessionThen", start)
         annotation = self.parse_annotation()
-        if annotation or (self.cur.peek().kind == TokenKind.KEYWORD
-                          and self.cur.peek().text in DEF_KEYWORDS):
+        if annotation or (self.cur.tok.kind == TokenKind.KEYWORD
+                          and self.cur.tok.text in DEF_KEYWORDS):
             inline = self.parse_member(annotation, visibility=None)
             if inline is not None:
                 node.children.append(inline)
@@ -737,13 +752,13 @@ class Parser:
 
     def parse_transition(self, annotation: Optional[AnnotationClause]) -> AstNode:
         start = self.cur.advance()  # 'transition'
-        node = self._header(AstNode(kind="Transition", span=start.span), annotation)
+        node = self._header("Transition", start, annotation)
         if self._at_name():
             name_tok = self.cur.advance()
             if self._at("then"):
                 # "transition S then T;" names no transition: S is the source
                 node.attrs["first"] = NamePath((self._ident_value(name_tok),),
-                                               name_tok.span)
+                                               self._span(name_tok))
             else:
                 node.attrs["name"] = self._ident_value(name_tok)
         self._parse_clauses(_TRANSITION_CLAUSES, node.attrs, node)
@@ -758,8 +773,8 @@ class Parser:
             node.children.append(self.parse_usage(None, None, None, ["do"],
                                                   keyword="action", inline=True))
         else:
-            tok = self.cur.peek()
-            self._error("P002", tok.span,
+            tok = self.cur.tok
+            self._error("P002", tok,
                         f"expected 'send' or 'action' after 'do', found {tok.text!r}")
 
     def parse_send(self) -> SendClause:
@@ -767,7 +782,7 @@ class Parser:
         signal = self.parse_path("after 'send'")
         args: list[Expr] = []
         if self._eat("("):
-            while not self._at(")") and self.cur.peek().kind != TokenKind.EOF:
+            while not self._at(")") and self.cur.tok.kind != TokenKind.EOF:
                 arg = self.parse_expression()
                 if arg is not None:
                     args.append(arg)
@@ -794,7 +809,7 @@ class Parser:
 
     def parse_metadata(self, annotation: Optional[AnnotationClause]) -> AstNode:
         start = self.cur.advance()  # 'metadata'
-        node = self._header(AstNode(kind="MetadataUsage", span=start.span), annotation)
+        node = self._header("MetadataUsage", start, annotation)
         if self._at_name():
             node.attrs["name"] = self._ident_value(self.cur.advance())
         if self._at("defined") or self._at(":"):
@@ -802,19 +817,19 @@ class Parser:
         if self._eat("about"):
             node.attrs["about"] = self.parse_path("after 'about'")
         if self._at(";"):
-            node.span = cover(node.span, self.cur.advance().span)
+            node.span = self._span(node.span, self.cur.advance())
         elif self._expect("{", "to open the metadata body"):
             close = self.parse_block(node, self._metadata_item, "metadata body",
                                      " in metadata body")
-            node.span = cover(node.span, close or self.cur.peek().span)
+            node.span = self._span(node.span, close or self.cur.tok)
         return node
 
     def _metadata_item(self) -> Union[AstNode, bool]:
         """``name = value;`` or ``name { ... }`` in a metadata body."""
-        if self.cur.peek().kind not in (*_NAME_KINDS, TokenKind.KEYWORD):
+        if self.cur.tok.kind not in (*_NAME_KINDS, TokenKind.KEYWORD):
             return False
         name_tok = self.cur.advance()
-        prop = AstNode(kind="BodyProperty", span=name_tok.span,
+        prop = AstNode(kind="BodyProperty", span=self._span(name_tok),
                        attrs={"name": self._ident_value(name_tok)})
         if self._eat("="):
             prop.attrs["value"] = self.parse_value("in metadata property")
@@ -823,19 +838,19 @@ class Parser:
             self.parse_block(prop, self._metadata_item, "metadata body",
                              " in metadata body")
         else:
-            self._error("P002", self.cur.peek().span,
+            self._error("P002", self.cur.tok,
                         "expected '=' or '{' in metadata body")
             self._recover()
         return prop
 
     def parse_measurement(self) -> AstNode:
         start = self.cur.advance()  # 'measurement'
-        node = self._header(AstNode(kind="MeasurementBlock", span=start.span))
+        node = self._header("MeasurementBlock", start)
         self.cur.advance()  # '{', seen by parse_statement
         close = self.parse_block(node, self._measurement_item, "measurement block",
                                  " in measurement block")
         if close:
-            node.span = cover(node.span, close)
+            node.span = self._span(node.span, close)
         return node
 
     def _measurement_item(self) -> Union[AstNode, bool]:
@@ -845,8 +860,8 @@ class Parser:
 
     def parse_body_property(self) -> AstNode:
         name_tok = self.cur.advance()
-        node = self._header(AstNode(kind="BodyProperty", span=name_tok.span,
-                                    attrs={"name": self._ident_value(name_tok)}))
+        node = self._header("BodyProperty", name_tok, None,
+                            {"name": self._ident_value(name_tok)})
         if not self._expect("=", "in property assignment"):
             self._recover()
             return node
@@ -858,12 +873,11 @@ class Parser:
 
     def parse_expression_statement(self) -> AstNode:
         expr = self.parse_expression()
-        node = self._header(AstNode(kind="ConstraintExpr",
-                                    span=expr.span if expr else self.cur.peek().span,
-                                    attrs={"expr": expr}))
+        node = self._header("ConstraintExpr", expr.span if expr else self.cur.tok,
+                            None, {"expr": expr})
         # the terminator is optional only directly before the body close
         if not self._eat(";") and not self._at("}"):
-            self._error("P002", self.cur.peek().span,
+            self._error("P002", self.cur.tok,
                         "expected ';' after the expression")
             self._recover()
         return node
@@ -877,7 +891,7 @@ class Parser:
         if left is None:
             return None
         items = [left]
-        while self.cur.peek().text in _BOOL_SPELLINGS[op]:
+        while self.cur.tok.text in _BOOL_SPELLINGS[op]:
             self.cur.advance()
             nxt = operand()
             if nxt is None:
@@ -885,27 +899,28 @@ class Parser:
             items.append(nxt)
         if len(items) == 1:
             return left
-        return BoolOp(span=cover(left.span, items[-1].span), op=op, items=tuple(items))
+        return BoolOp(span=self._span(left.span, items[-1].span), op=op, items=tuple(items))
 
     def _parse_comparison(self) -> Optional[Expr]:
         left = self._parse_unary()
         if left is None:
             return None
-        op = self.cur.peek().text
+        op = self.cur.tok.text
         if op not in ("==", ">=", "<=", "<", ">"):
             return left
         self.cur.advance()
         right = self._parse_unary()
         if right is None:
             return left
-        return Comparison(span=cover(left.span, right.span), op=op, left=left, right=right)
+        return Comparison(span=self._span(left.span, right.span), op=op, left=left,
+                          right=right)
 
     def _nest(self) -> bool:
         """Consume a ``not`` or ``(`` and enter one more expression level;
         past MAX_BODY_NESTING levels, blocks included, report it and
         recover instead."""
         if self.depth >= MAX_BODY_NESTING:
-            self._error("P001", self.cur.peek().span, "expression nests too deeply")
+            self._error("P001", self.cur.tok, "expression nests too deeply")
             self._recover()
             return False
         self.cur.advance()
@@ -913,7 +928,7 @@ class Parser:
         return True
 
     def _parse_unary(self) -> Optional[Expr]:
-        tok = self.cur.peek()
+        tok = self.cur.tok
         if tok.text != "not":
             return self._parse_primary()
         if not self._nest():
@@ -922,10 +937,10 @@ class Parser:
         self.depth -= 1
         if item is None:
             return None
-        return NotOp(span=cover(tok.span, item.span), item=item)
+        return NotOp(span=self._span(tok, item.span), item=item)
 
     def _parse_primary(self) -> Optional[Expr]:
-        tok = self.cur.peek()
+        tok = self.cur.tok
         if tok.text == "(":
             if not self._nest():
                 return None
@@ -939,7 +954,7 @@ class Parser:
             if value is None:
                 return None
             return Operand(span=value.span, value=value)
-        self._error("P002", tok.span, f"expected an expression, found {tok.text!r}")
+        self._error("P002", tok, f"expected an expression, found {tok.text!r}")
         return None
 
 

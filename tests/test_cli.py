@@ -52,6 +52,23 @@ def test_check_non_decimal_digit_is_a_diagnostic(tmp_path, capsys):
     assert "P008" in [row["code"] for row in json.loads(out)]
 
 
+def test_check_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    # editors on Windows often save UTF-8 with a leading U+FEFF
+    clean = fixture_text("acc.sysml")
+    faulty = clean.replace("«IndeterminacySource<nd>»", "«IndeterminacySource<nx>»")
+    for name, text, expected in (("clean", clean, 0), ("faulty", faulty, 1)):
+        results = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{name}-{encoding}.sysml"
+            path.write_text(text, encoding=encoding)
+            code, out, _ = invoke(capsys, "check", "--format", "json", str(path))
+            results.append((code, [{k: v for k, v in row.items() if k != "file"}
+                                   for row in json.loads(out)]))
+        assert results[0] == results[1]
+        assert results[0][0] == expected
+    assert [(r["code"], r["line"], r["column"]) for r in results[1][1]] == [("V003", 4, 4)]
+
+
 def test_check_warnings_as_errors(tmp_path, capsys):
     warny = tmp_path / "warn.sysml"
     warny.write_text(fixture_text("acc.sysml").replace(

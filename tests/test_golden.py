@@ -26,6 +26,7 @@ and review the diff of all three files.
 import contextlib
 import dataclasses
 import decimal
+import functools
 import hashlib
 import io
 import json
@@ -217,24 +218,30 @@ def _structure(value):
     attrs as [name, value] pairs in insertion order, children]; any other
     dataclass as [type name, [field, value] pairs]; a span as
     [start, end]; a Decimal as its string."""
+    return _converter(type(value))(value)
+
+
+@functools.cache
+def _converter(kind: type):
+    """The ``_structure`` conversion of values of type ``kind``."""
     from psumlint.source import Span
     from psumlint.syntax import AstNode
-    if isinstance(value, AstNode):
-        return [value.kind, _structure(value.span),
-                [[k, _structure(v)] for k, v in value.attrs.items()],
-                [_structure(c) for c in value.children]]
-    if isinstance(value, Span):
-        return [value.start, value.end]
-    if dataclasses.is_dataclass(value):
-        return [type(value).__name__,
-                [[f.name, _structure(getattr(value, f.name))]
-                 for f in dataclasses.fields(value)]]
-    if isinstance(value, (list, tuple)):
-        return [_structure(v) for v in value]
-    if isinstance(value, decimal.Decimal):
-        return str(value)
-    assert value is None or isinstance(value, (str, int, bool)), value
-    return value
+    if issubclass(kind, AstNode):
+        return lambda node: [node.kind, [node.span.start, node.span.end],
+                             [[k, _structure(v)] for k, v in node.attrs.items()],
+                             [_structure(c) for c in node.children]]
+    if issubclass(kind, Span):
+        return lambda span: [span.start, span.end]
+    if dataclasses.is_dataclass(kind):
+        name = kind.__name__
+        names = tuple(f.name for f in dataclasses.fields(kind))
+        return lambda value: [name, [[n, _structure(getattr(value, n))] for n in names]]
+    if issubclass(kind, (list, tuple)):
+        return lambda items: [_structure(v) for v in items]
+    if issubclass(kind, decimal.Decimal):
+        return str
+    assert kind is type(None) or issubclass(kind, (str, int, bool)), kind
+    return lambda value: value
 
 
 def parse_record(text: str, path: str) -> dict:
@@ -266,7 +273,7 @@ def deletion_mutants(name: str, text: str):
             continue
         if index % stride and token.text not in DELIMITERS:
             continue
-        yield token, text[:token.span.start] + text[token.span.end:]
+        yield token, text[:token.start] + text[token.end:]
 
 
 #: deleting one of these always yields a diagnostic

@@ -166,6 +166,13 @@ def test_tokenizer_lossless_and_total_on_arbitrary_text(text):
     tokens, _ = tokenize(source)
     assert tokens[-1].kind is TokenKind.EOF
     assert reconstruct(source, tokens) == text
+    # tokens carry bare offsets and run no Span bounds check of their own:
+    # this is that check, plus the order the parser's spans rely on
+    for token in tokens:
+        assert 0 <= token.start <= token.end <= len(text)
+        assert token.span == source.span(token.start, token.end)
+    starts = [token.start for token in tokens[:-1]]
+    assert all(a < b for a, b in zip(starts, starts[1:]))
 
 
 def test_spans_hash_and_compare_by_file_identity():
@@ -176,6 +183,7 @@ def test_spans_hash_and_compare_by_file_identity():
         {span, source.span(1, 3)}
     tokens, _ = tokenize(source)
     assert len({token.span for token in tokens}) == len(tokens)
+    assert len(set(tokens)) == len(tokens)
     # a model holds one object per file: another file with the same text
     # and path is another file
     twin = SourceFile(path="x", content="abc")

@@ -148,14 +148,14 @@ def test_parse_never_raises_and_returns_tree_on_token_deletion():
         for (token, mutated), expected in zip(mutants, golden[name]):
             record = parse_record(mutated, "mutant")
             assert parse_digest(record) == expected, \
-                f"{name}: deleting {token.text!r} at {token.span.start}"
+                f"{name}: deleting {token.text!r} at {token.start}"
             if token.text == ";" and \
-                    mutated[token.span.start:].lstrip()[:1] == "}":
+                    mutated[token.start:].lstrip()[:1] == "}":
                 continue  # a ';' directly before '}' is legitimately optional
             if token.text in DELIMITERS:
                 assert record["diagnostics"], (
                     f"{name}: deleting {token.text!r} at "
-                    f"{token.span.start} gave no diagnostic")
+                    f"{token.start} gave no diagnostic")
 
 
 def test_parse_determinism():
