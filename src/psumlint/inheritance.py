@@ -12,7 +12,7 @@ fields merge field-wise with the nearer application winning.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +38,9 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
         self._model = model
         self._kinds: dict[int, frozenset[str]] = {}
         self._lists: dict[int, list[StereotypeApplication]] = {}
-        self._references: dict[int, tuple[StereotypeApplication, ...]] = {}
-        self._specifications: dict[int, list[int]] = {}
+        self._references: dict[int, list[StereotypeApplication]] = {}
+        #: element -> {specification constraint: distance}, in list order
+        self._specifications: dict[int, dict[int, int]] = {}
         self._firsts: dict[tuple[str, ...],
                            dict[int, Optional[StereotypeApplication]]] = {}
         kinds = self._kinds
@@ -108,60 +109,47 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
                           else _carry(best, (via.kind, via.target), node))
         return memo[eid]
 
-    def references(self, eid: int) -> tuple[StereotypeApplication, ...]:
+    def references(self, eid: int) -> list[StereotypeApplication]:
         """The Uncertainty and Effect applications in ``self[eid]`` that
         hold specification or effect references, in list order.
 
-        An element with one inheritance edge lists its own such
-        applications, then its parent's tuple, less the kinds a
-        redefinition override drops; the tuple is shared when nothing is
-        added or dropped. Carried entries keep their order, as one hop adds
-        one to every depth. Only an element with several inheritance edges
-        reads its full list. Entries may be the applications that were
-        carried, so read only their stereotype and references.
+        Composed like the full list, from the parents' reference lists and
+        the element's own referring applications; the redefinition override
+        still reads all of its direct stereotypes. An entry refers exactly
+        when its origin's application does, so this equals filtering the
+        full list, which is never built. Lists are kept, and the returned
+        one belongs to the map.
         """
         memo = self._references
-        model = self._model
-        for node in _post_order(model, (eid,), memo):
-            edges = model.inheritance_edges(node)
-            if len(edges) > 1:
-                memo[node] = tuple(app for app in self[node] if _refers(app))
-                continue
-            refs = memo[edges[0].target] if edges else ()
-            if edges and edges[0].kind is EdgeKind.REDEFINITION:
-                overridden = {app.stereotype
-                              for app in model.elements[node].annotations}
-                if any(app.stereotype in overridden for app in refs):
-                    refs = tuple(app for app in refs
-                                 if app.stereotype not in overridden)
-            own = _own_references(model, node)
-            memo[node] = own + refs if own else refs
+        for node in _post_order(self._model, (eid,), memo):
+            memo[node] = _combine(self._model, node, memo, _refers)
         return memo[eid]
 
     def specifications(self, eid: int) -> list[int]:
-        """Specification constraints owned by an element or its closure.
+        """Specification constraints owned by an element or its closure, in
+        the closure's breadth-first order, the element's own first.
 
-        A single-edge element's list is its own constraints followed by its
-        parent's list, as its closure is the parent followed by the parent's
-        closure; any other element's is read off its closure. Lists are
-        kept, and the returned one belongs to the map.
+        Each element keeps its constraints with their distance. A parent's
+        entry is offered at (distance + 1, edge position, position in the
+        parent's list), and the least offer per constraint wins: that is
+        the order in which a breadth-first search first reaches the
+        constraint's owner.
         """
         memo = self._specifications
         model = self._model
         for node in _post_order(model, (eid,), memo):
-            edges = model.inheritance_edges(node)
-            if len(edges) == 1:
-                memo[node] = (self._owned_specifications((node,))
-                              + memo[edges[0].target])
-            else:
-                memo[node] = self._owned_specifications(
-                    (node, *model.specialization_closure(node)))
-        return memo[eid]
-
-    def _owned_specifications(self, scopes: tuple[int, ...]) -> list[int]:
-        return [child for scope in scopes
-                for child in self._model.elements[scope].owned
-                if INDETERMINACY_SPECIFICATION in self.kinds(child)]
+            offers = sorted(
+                (distance + 1, position, index, spec)
+                for position, edge in enumerate(model.inheritance_edges(node))
+                for index, (spec, distance)
+                in enumerate(memo[edge.target].items()))
+            found = dict.fromkeys(
+                (child for child in model.elements[node].owned
+                 if INDETERMINACY_SPECIFICATION in self.kinds(child)), 0)
+            for distance, _, _, spec in offers:
+                found.setdefault(spec, distance)
+            memo[node] = found
+        return list(memo[eid])
 
 
 def effective_stereotypes(model: Model) -> EffectiveMap:
@@ -198,18 +186,20 @@ def _post_order(model: Model, roots: Iterable[int],
 
 
 def _combine(model: Model, eid: int,
-             lists: dict[int, list[StereotypeApplication]]
+             lists: dict[int, list[StereotypeApplication]],
+             keep: Optional[Callable[[StereotypeApplication], bool]] = None
              ) -> list[StereotypeApplication]:
-    direct = model.elements[eid].annotations
-    direct_kinds = {app.stereotype for app in direct}
-    combined: dict[tuple[str, int], StereotypeApplication] = {}
-    for app in direct:
-        combined[(app.stereotype, eid)] = app
+    """An element's list from its parents' ``lists``: its direct entries
+    that ``keep`` accepts, then each parent's entries carried one hop."""
+    direct = {app.stereotype: app for app in model.elements[eid].annotations}
+    combined: dict[tuple[str, int], StereotypeApplication] = {
+        (stereotype, eid): app for stereotype, app in direct.items()
+        if keep is None or keep(app)}
     for edge in model.inheritance_edges(eid):
         redefines = edge.kind is EdgeKind.REDEFINITION
         hop = (edge.kind, edge.target)
         for inherited in lists[edge.target]:
-            if redefines and inherited.stereotype in direct_kinds:
+            if redefines and inherited.stereotype in direct:
                 continue
             key = (inherited.stereotype, inherited.provenance.origin)
             existing = combined.get(key)
@@ -234,11 +224,6 @@ def _direct(element) -> list[StereotypeApplication]:
 def _refers(app: StereotypeApplication) -> bool:
     return (app.stereotype in (UNCERTAINTY, EFFECT)
             and bool(app.spec_refs or app.effect_refs))
-
-
-def _own_references(model: Model, eid: int
-                    ) -> tuple[StereotypeApplication, ...]:
-    return tuple(app for app in _direct(model.elements[eid]) if _refers(app))
 
 
 def _carry(app: StereotypeApplication, hop: tuple[EdgeKind, int],

@@ -194,9 +194,8 @@ class Model:
     ``build_model`` creates it when interning ends and resolves through it.
     While relationships resolve, a closure search that reaches an element in
     ``_unstarted`` raises ``_Unresolved`` so the builder resolves that
-    element first, and nothing is cached: closures still grow and still hold
-    edges that cycle removal may drop. ``freeze`` re-indexes the kept edges
-    and starts the cache.
+    element first. ``freeze`` re-indexes the edges that cycle removal kept.
+    Nothing is cached: every closure is searched when it is asked for.
     """
 
     files: tuple[SourceFile, ...]
@@ -218,7 +217,6 @@ class Model:
     #: as edges resolve, rebuilt by freeze
     _inherits: dict[int, Sequence[SpecializationEdge]] = field(
         default_factory=dict)
-    _closure_cache: Optional[dict[int, tuple[int, ...]]] = None
     #: elements whose relationships the builder has not started resolving
     _unstarted: set[int] = field(default_factory=set)
     #: element -> its interrupted closure search (queue, seen, next index)
@@ -235,14 +233,11 @@ class Model:
     def specialization_closure(self, eid: int) -> tuple[int, ...]:
         """Transitive specialization targets, nearest first, self excluded.
 
-        A breadth-first search over inheritance edges; after ``freeze`` each
-        result is cached. Before, it raises ``_Unresolved`` at an element
-        whose relationships have not started, and a search in ``_resume``
-        goes on from where it was interrupted.
+        A breadth-first search over inheritance edges, run on every call;
+        nothing is cached. While the model is built it raises
+        ``_Unresolved`` at an element whose relationships have not started,
+        and a search in ``_resume`` goes on from where it was interrupted.
         """
-        cache = self._closure_cache
-        if cache is not None and eid in cache:
-            return cache[eid]
         queue, seen, index = self._resume.pop(eid, None) or ([eid], {eid}, 0)
         while index < len(queue):
             node = queue[index]
@@ -253,10 +248,7 @@ class Model:
                     seen.add(edge.target)
                     queue.append(edge.target)
             index += 1
-        result = tuple(queue[1:])
-        if cache is not None:
-            cache[eid] = result
-        return result
+        return tuple(queue[1:])
 
     def metaclass_category(self, eid: int) -> MetaclassCategory:
         return _CATEGORY_BY_KIND[self.elements[eid].kind]
@@ -686,7 +678,7 @@ class _Builder:
     # ---- finish ---------------------------------------------------------------
 
     def freeze(self) -> Model:
-        """Install the acyclic edge set and switch the model to caching."""
+        """Install the acyclic edge set."""
         out: dict[int, list[SpecializationEdge]] = {}
         inherits: dict[int, list[SpecializationEdge]] = {}
         for edge in self.edges:
@@ -697,7 +689,6 @@ class _Builder:
         model.edges = tuple(self.edges)
         model._out = {k: tuple(v) for k, v in out.items()}
         model._inherits = {k: tuple(v) for k, v in inherits.items()}
-        model._closure_cache = {}
         return model
 
 

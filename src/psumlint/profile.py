@@ -86,7 +86,7 @@ def load_catalog(path: Optional[str] = None) -> ProfileCatalog:
     if path is None:
         text = resources.files(__package__).joinpath("profile-catalog.json").read_text()
         return ProfileCatalog.from_json(text)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return ProfileCatalog.from_json(fh.read())
 
 

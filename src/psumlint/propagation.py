@@ -418,17 +418,16 @@ def derive_effect_specifications(model: Model, effective: EffectiveMap,
         return [(ref.anchor, ref.target)
                 for app in effective.references(eid) for ref in app.spec_refs]
 
-    suggestions: list[SpecSuggestion] = []
+    # a dict keeps the first of equal suggestions, in insertion order
+    suggestions: dict[SpecSuggestion, None] = {}
     for edge in graph.edges:
         if edge.kind is not PropagationEdgeKind.PROPAGATES:
             continue
         upstream, effect = edge.source, edge.target
         present = set(anchored_refs(effect))
         for anchor, spec in anchored_refs(upstream):
-            if (anchor, spec) in present:
-                continue
-            suggestion = SpecSuggestion(effect=effect, specification=spec,
-                                        anchor=anchor, via_uncertainty=upstream)
-            if suggestion not in suggestions:
-                suggestions.append(suggestion)
-    return suggestions
+            if (anchor, spec) not in present:
+                suggestions.setdefault(SpecSuggestion(
+                    effect=effect, specification=spec, anchor=anchor,
+                    via_uncertainty=upstream))
+    return list(suggestions)

@@ -267,6 +267,20 @@ def test_profile_catalog_bad_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_profile_catalog_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    # a catalog saved as UTF-8 with a leading U+FEFF loads like one without
+    catalog = profile.DEFAULT_CATALOG.to_json()
+    results = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        catalog_path = tmp_path / f"catalog-{encoding}.json"
+        catalog_path.write_text(catalog, encoding=encoding)
+        results.append(invoke(capsys, "--profile-catalog", str(catalog_path),
+                              "check", "--format", "json",
+                              fixture_path("acc.sysml")))
+    assert results[0] == results[1]
+    assert results[0] == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("field, value", [
     ("uncertainty_kinds", [1, 2]),
     ("stereotypes", {"Uncertainty": 5}),

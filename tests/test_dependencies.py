@@ -1,0 +1,39 @@
+"""psumlint has no runtime dependencies: it imports only the standard library."""
+
+import ast
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "psumlint")
+
+
+def test_package_imports_only_the_standard_library():
+    imported = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                imported.setdefault(module.partition(".")[0], set()).add(name)
+    assert "json" in imported  # the walk sees the package's imports
+    outside = {module: sorted(files) for module, files in imported.items()
+               if module not in sys.stdlib_module_names}
+    assert outside == {}
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from psumlint.api import Analysis, analyze_text
 from psumlint.inheritance import (derived_report, effective_stereotypes,
                                   has_effective)
-from psumlint.model import INHERITANCE_KINDS, EdgeKind
+from psumlint.model import INHERITANCE_KINDS, EdgeKind, Model
 from psumlint.profile import (DEFAULT_CATALOG, EFFECT, INDETERMINACY_SOURCE,
                               INDETERMINACY_SPECIFICATION, UNCERTAINTY)
 
@@ -288,6 +289,39 @@ def test_pipeline_builds_no_effective_lists():
     bottom = analysis.model.resolve_qualified(f"P::L{depth - 1}")
     assert len(analysis.effective[bottom]) == 1 + (depth - 1) // 3
     assert sum(map(len, analysis.effective.values())) > depth * depth // 6
+
+
+def test_multi_parent_chain_composes_in_linear_work():
+    # each D<i> specializes the two defs before it, so its closure is every
+    # def below it; the graph and the suggestions read its specifications
+    # and references, composed from its parents' without a closure search
+    # or a full list
+    depth = 2000
+    text = ("package P { «IndeterminacySource<nd>» part def S { "
+            "«IndeterminacySpecification» constraint C; } "
+            "«Effect<con>» part e; "
+            "«IndeterminacySource<nd>, Uncertainty<ocr>» part def D0 { "
+            "«IndeterminacySpecification» constraint K; "
+            "«IndeterminacySpecification» ref ::> S::C; «Effect» ref ::> e; } "
+            "part def D1 specializes D0; "
+            + " ".join(f"part def D{i} specializes D{i - 1}, D{i - 2};"
+                       for i in range(2, depth)) + " }")
+    analysis = analyze_text(text)
+    analysis.effective
+    with mock.patch.object(Model, "inheritance_edges", autospec=True,
+                           side_effect=Model.inheritance_edges) as edges:
+        graph = analysis.graph
+        suggestions = analysis.suggestions()
+    assert edges.call_count < 10 * depth
+    assert not analysis.effective._lists
+    # every D<i> specifies K, is caused by C and propagates to e
+    assert len(graph.edges) == 1 + 3 * depth
+    assert len(suggestions) == depth
+    top = analysis.model.resolve_qualified(f"P::D{depth - 1}")
+    assert names(analysis, analysis.effective.specifications(top)) == ["P::D0::K"]
+    [reference] = analysis.effective.references(top)
+    assert reference.element == top
+    assert reference.provenance.depth == depth // 2
 
 
 # -- the effective map against an eager oracle ---------------------------------

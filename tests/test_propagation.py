@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from psumlint.api import analyze_text
 from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
                                   PropagationEdgeKind, PropagationGraph,
-                                  TRACE_KINDS,
+                                  SpecSuggestion, TRACE_KINDS,
                                   TraceStartError, backward_trace,
                                   detect_cycles, forward_trace,
                                   reachable_set)
@@ -361,6 +363,31 @@ def test_derive_specs_mutant_suggests_removed_ref():
 
 def test_no_propagates_edges_no_suggestions(vfea):
     assert vfea.suggestions() == []
+
+
+def test_suggestions_deduplicate_in_linear_work():
+    # n uncertainties, each naming its own constraint twice, all propagate
+    # to one effect: n suggestions, each compared only with its duplicate
+    count = 500
+    text = ("package P { «IndeterminacySource<nd>» part def S { "
+            + " ".join(f"«IndeterminacySpecification» constraint C{i};"
+                       for i in range(count))
+            + " } «Effect<con>» part e; "
+            + " ".join(f"«Uncertainty<ocr>» part u{i} {{ "
+                       f"«IndeterminacySpecification» ref ::> S::C{i}; "
+                       f"«IndeterminacySpecification» ref ::> S::C{i}; "
+                       f"«Effect» ref ::> e; }}" for i in range(count))
+            + " }")
+    analysis = analyze_text(text)
+    analysis.graph
+    with mock.patch.object(SpecSuggestion, "__eq__", autospec=True,
+                           side_effect=SpecSuggestion.__eq__) as equal:
+        suggestions = analysis.suggestions()
+    model = analysis.model
+    assert [(model.elements[s.via_uncertainty].name,
+             model.elements[s.specification].name) for s in suggestions] == \
+        [(f"u{i}", f"C{i}") for i in range(count)]
+    assert equal.call_count < 2 * count
 
 
 # -- oracle comparisons ---------------------------------------------------------
