@@ -4,8 +4,9 @@ token stream of every fixture and of lexer edge cases, byte for byte.
 ``golden/cli.json`` maps each invocation (its argv joined by spaces) to the
 exit code, stdout and stderr recorded for it. Fixtures are addressed by
 paths relative to this directory, so the recording holds no absolute path.
-``propagate`` is recorded in ``json`` only, from and to every graph node
-that has a qualified name.
+``propagate`` is recorded from and to every graph node that has a
+qualified name: in ``text``, ``json`` and ``dot``, and in ``json`` with
+``--effects-only``.
 
 ``golden/tokens.json`` maps each fixture path and each snippet in
 ``TOKEN_SNIPPETS`` to its tokens as (kind, text, start, end, line, column,
@@ -76,8 +77,12 @@ def _matrix() -> list[list[str]]:
             if node["qualified_name"] is None:
                 continue
             for flag in ("--from", "--to"):
+                for fmt in ("text", "json", "dot"):
+                    invocations.append(["propagate", "--format", fmt, path,
+                                        flag, node["qualified_name"]])
                 invocations.append(["propagate", "--format", "json", path,
-                                    flag, node["qualified_name"]])
+                                    flag, node["qualified_name"],
+                                    "--effects-only"])
     return invocations
 
 
