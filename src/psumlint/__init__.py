@@ -12,7 +12,7 @@ from .profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
                       collect_risks, interpret_annotation, load_catalog)
 from .propagation import (PropagationGraph, TraceStartError, backward_trace,
                           build_propagation_graph, derive_effect_specifications,
-                          detect_cycles, forward_trace, topic_report)
+                          forward_trace, topic_report)
 from .inheritance import derived_report, effective_stereotypes
 from .reporting import StatsReport, model_stats
 from .source import SourceFile, Span

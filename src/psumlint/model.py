@@ -211,8 +211,6 @@ class Model:
     imports: dict[int, tuple[tuple[int, bool], ...]] = field(default_factory=dict)
     _direct: dict[int, dict[str, int]] = field(default_factory=dict)
     _root_scope: dict[str, int] = field(default_factory=dict)
-    #: element -> its edges, in edge order; set by freeze
-    _out: dict[int, Sequence[SpecializationEdge]] = field(default_factory=dict)
     #: element -> its edges of ``INHERITANCE_KINDS``, in edge order; grown
     #: as edges resolve, rebuilt by freeze
     _inherits: dict[int, Sequence[SpecializationEdge]] = field(
@@ -221,9 +219,6 @@ class Model:
     _unstarted: set[int] = field(default_factory=set)
     #: element -> its interrupted closure search (queue, seen, next index)
     _resume: dict[int, tuple] = field(default_factory=dict)
-
-    def out_edges(self, eid: int) -> Sequence[SpecializationEdge]:
-        return self._out.get(eid, ())
 
     def inheritance_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         """An element's edges of ``INHERITANCE_KINDS``, in edge order; two
@@ -679,15 +674,12 @@ class _Builder:
 
     def freeze(self) -> Model:
         """Install the acyclic edge set."""
-        out: dict[int, list[SpecializationEdge]] = {}
         inherits: dict[int, list[SpecializationEdge]] = {}
         for edge in self.edges:
-            out.setdefault(edge.source, []).append(edge)
             if edge.kind in INHERITANCE_KINDS:
                 inherits.setdefault(edge.source, []).append(edge)
         model = self.model
         model.edges = tuple(self.edges)
-        model._out = {k: tuple(v) for k, v in out.items()}
         model._inherits = {k: tuple(v) for k, v in inherits.items()}
         return model
 

@@ -504,7 +504,7 @@ def collect_risks(model: Model) -> tuple[list[RiskAnnotation], list[Diagnostic]]
 
 
 def _is_risk_typed(model: Model, element: Element) -> bool:
-    for edge in model.out_edges(element.id):
+    for edge in model.inheritance_edges(element.id):
         if edge.kind is EdgeKind.FEATURE_TYPING:
             target = model.elements[edge.target]
             if target.is_prelude and target.qualified_name == "RiskMetadata::Risk":

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .inheritance import EffectiveMap, has_effective
-from .model import Model, strongly_connected
+from .model import Model
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                       UNCERTAINTY_TOPIC, RiskAnnotation)
@@ -68,8 +68,6 @@ class PropagationGraph:
     #: (source, target, kind) -> position of that edge in ``edges``
     _index: dict[tuple[int, int, PropagationEdgeKind], int] = field(
         default_factory=dict)
-    _out: dict[int, list[int]] = field(default_factory=dict)
-    _in: dict[int, list[int]] = field(default_factory=dict)
     #: (kinds, reverse) -> adjacency, built on first use; see ``adjacency``
     _adjacency: dict[tuple[frozenset, bool],
                      dict[int, list[tuple[int, PropagationEdge]]]] = field(
@@ -95,44 +93,33 @@ class PropagationGraph:
         if position is None:
             position = self._index[key] = len(self.edges)
             self.edges.append(PropagationEdge(source, target, kind, spans))
-            self._out.setdefault(source, []).append(position)
-            self._in.setdefault(target, []).append(position)
         elif spans:
             edge = self.edges[position]
             self.edges[position] = PropagationEdge(
                 source, target, kind, edge.provenance + spans)
-
-    def out_edges(self, eid: int) -> list[PropagationEdge]:
-        return [self.edges[i] for i in self._out.get(eid, ())]
-
-    def in_edges(self, eid: int) -> list[PropagationEdge]:
-        return [self.edges[i] for i in self._in.get(eid, ())]
 
     def adjacency(self, kinds: frozenset, reverse: bool
                   ) -> dict[int, list[tuple[int, PropagationEdge]]]:
         """Each node's ``(peer, edge)`` pairs over edges of ``kinds``.
 
         A peer is an edge's target, or its source when ``reverse``. Pairs
-        are sorted by peer, ties in insertion order. Risks are sinks, so
-        forward adjacency has no entry for them. Built on first use and
-        kept until the graph changes.
+        are sorted by peer, ties in edge order. Risks are sinks, so
+        forward adjacency has no entry for them. Built on first use, in one
+        pass over ``edges``, and kept until the graph changes.
         """
         key = (kinds, reverse)
         table = self._adjacency.get(key)
         if table is None:
             table = self._adjacency[key] = {}
-            for node, positions in (self._in if reverse else self._out).items():
-                if not reverse and NodeRole.RISK in self.roles.get(node, ()):
+            for edge in self.edges:
+                if edge.kind not in kinds:
                     continue
-                pairs = []
-                for position in positions:
-                    edge = self.edges[position]
-                    if edge.kind in kinds:
-                        pairs.append(
-                            (edge.source if reverse else edge.target, edge))
-                if pairs:
-                    pairs.sort(key=itemgetter(0))
-                    table[node] = pairs
+                if reverse:
+                    table.setdefault(edge.target, []).append((edge.source, edge))
+                elif NodeRole.RISK not in self.roles.get(edge.source, ()):
+                    table.setdefault(edge.source, []).append((edge.target, edge))
+            for pairs in table.values():
+                pairs.sort(key=itemgetter(0))
         return table
 
 
@@ -207,7 +194,8 @@ def build_propagation_graph(model: Model,
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Nodes reached from ``start``, each with its witness path.
+    """Nodes reached from ``start``, in walk order, each with the edge by
+    which the walk first reached it (``via``; the start has none).
 
     ``roots`` is set by backward traces only: the reached sources and
     specifications.
@@ -215,8 +203,18 @@ class TraceResult:
 
     start: int
     reached: tuple[int, ...]
-    paths: dict[int, tuple[PropagationEdge, ...]]
+    via: dict[int, PropagationEdge]
     roots: Optional[tuple[int, ...]] = None
+
+    def path(self, node: int) -> tuple[PropagationEdge, ...]:
+        """The witness path from ``start`` to a reached ``node``, first edge
+        first, read back along ``via``."""
+        edges = []
+        while node != self.start:
+            edge = self.via[node]
+            edges.append(edge)
+            node = edge.source if edge.target == node else edge.target
+        return tuple(reversed(edges))
 
 
 def _walk(graph: PropagationGraph, start: int, kinds: frozenset,
@@ -226,20 +224,19 @@ def _walk(graph: PropagationGraph, start: int, kinds: frozenset,
             f"E001: {graph.model.elements[start].display_name()} is not a "
             f"node of the propagation graph")
     adjacency = graph.adjacency(kinds, reverse)
-    paths: dict[int, tuple[PropagationEdge, ...]] = {start: ()}
+    via: dict[int, PropagationEdge] = {}
     frontier = [start]
     order = [start]
     while frontier:
         nxt: list[int] = []
         for node in sorted(frontier):
-            path = paths[node]
             for peer, edge in adjacency.get(node, ()):
-                if peer not in paths:
-                    paths[peer] = path + (edge,)
+                if peer not in via and peer != start:
+                    via[peer] = edge
                     nxt.append(peer)
         order.extend(nxt)
         frontier = nxt
-    return TraceResult(start=start, reached=tuple(order), paths=paths)
+    return TraceResult(start=start, reached=tuple(order), via=via)
 
 
 def forward_trace(graph: PropagationGraph, start: int,
@@ -255,89 +252,6 @@ def backward_trace(graph: PropagationGraph, failure: int,
     roots = tuple(node for node in walk.reached
                   if not _ROOT_ROLES.isdisjoint(graph.roles.get(node, ())))
     return replace(walk, roots=roots)
-
-
-def reachable_set(graph: PropagationGraph, start: int, kinds: frozenset,
-                  reverse: bool = False) -> set[int]:
-    """Raw reachability (start included); shared by trace duality checks."""
-    return set(_walk(graph, start, kinds, reverse).reached)
-
-
-# -- cycles ----------------------------------------------------------------------
-
-def detect_cycles(graph: PropagationGraph) -> list[list[int]]:
-    """All elementary cycles over Propagates edges (Johnson's algorithm).
-
-    Cycles come ordered by their least node, then in search order. Every
-    cycle lies inside one strongly connected component, so only components
-    that hold a cycle are searched, each from its least node; that node is
-    then removed and the rest of its component split again. The search
-    keeps its own stack of frames, so chain length is not bound by the
-    interpreter's recursion limit.
-    """
-    adjacency: dict[int, list[int]] = {}
-    for edge in graph.edges:
-        if edge.kind is PropagationEdgeKind.PROPAGATES:
-            adjacency.setdefault(edge.source, []).append(edge.target)
-    for targets in adjacency.values():
-        targets.sort()
-    by_root: dict[int, list[list[int]]] = {}
-
-    def unblock(node: int) -> None:
-        pending = [node]
-        while pending:
-            node = pending.pop()
-            blocked.discard(node)
-            pending.extend(other for other in block_map.pop(node, ())
-                           if other in blocked)
-
-    components = _cyclic_components(adjacency, set(adjacency))
-    while components:
-        members = components.pop()
-        root = min(members)
-        cycles = by_root[root] = []
-        blocked: set[int] = {root}
-        block_map: dict[int, set[int]] = {}
-        frames = [[root, iter(adjacency[root]), False]]  # node, peers, found
-        while frames:
-            frame = frames[-1]
-            node, peers = frame[0], frame[1]
-            for peer in peers:
-                if peer not in members:
-                    continue
-                if peer == root:
-                    cycles.append([f[0] for f in frames])
-                    frame[2] = True
-                elif peer not in blocked:
-                    blocked.add(peer)
-                    frames.append([peer, iter(adjacency.get(peer, ())), False])
-                    break
-            else:
-                frames.pop()
-                if frame[2]:
-                    unblock(node)
-                    if frames:
-                        frames[-1][2] = True
-                else:
-                    for peer in adjacency.get(node, ()):
-                        if peer in members:
-                            block_map.setdefault(peer, set()).add(node)
-        members.discard(root)
-        components.extend(_cyclic_components(adjacency, members))
-    return [cycle for root in sorted(by_root) for cycle in by_root[root]]
-
-
-def _cyclic_components(adjacency: dict[int, list[int]],
-                       nodes: set[int]) -> list[set[int]]:
-    """Strongly connected components of the subgraph on ``nodes`` that
-    hold a cycle: more than one node, or one node with a self-loop."""
-    successors = {node: [peer for peer in adjacency.get(node, ())
-                         if peer in nodes] for node in nodes}
-    groups: dict[int, set[int]] = {}
-    for node, number in strongly_connected(successors).items():
-        groups.setdefault(number, set()).add(node)
-    return [group for group in groups.values()
-            if len(group) > 1 or min(group) in successors[min(group)]]
 
 
 # -- topics ------------------------------------------------------------------------

@@ -422,43 +422,41 @@ def render_trace(result: TraceResult, graph: PropagationGraph,
     labels = graph_node_labels(graph)
     start = result.start
     reached = [n for n in result.reached if n != start]
+    if fmt == "dot":
+        # a reached node's path ends in its ``via`` edge, after the paths
+        # of the nodes reached before it; so each path edge, once, in order
+        lines = ["digraph trace {", "  rankdir=LR;"]
+        for node in reached:
+            edge = result.via[node]
+            lines.append(
+                f"  {_dot_id(labels[edge.source])} -> "
+                f"{_dot_id(labels[edge.target])} "
+                f"[style={_EDGE_STYLE[edge.kind]}, "
+                f"label=\"{edge.kind.value}\"];")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
-    def hop_sequence(node: int) -> list[str]:
-        seq = [start]
-        for edge in result.paths[node]:
-            seq.append(edge.target if edge.source == seq[-1] else edge.source)
-        return [labels[n] for n in seq]
+    def describe(node: int) -> dict:
+        path = result.path(node)
+        hops = [start]
+        for edge in path:
+            hops.append(edge.target if edge.source == hops[-1] else edge.source)
+        return {
+            "element": model.elements[node].display_name(),
+            "hops": [labels[n] for n in hops],
+            "path": [{"from": labels[e.source], "to": labels[e.target],
+                      "kind": e.kind.value} for e in path],
+        }
 
     payload = {
         "start": model.elements[start].display_name(),
-        "reached": [{
-            "element": model.elements[node].display_name(),
-            "hops": hop_sequence(node),
-            "path": [{"from": labels[e.source], "to": labels[e.target],
-                      "kind": e.kind.value} for e in result.paths[node]],
-        } for node in reached],
+        "reached": [describe(node) for node in reached],
     }
     if result.roots is not None:
         payload["roots"] = [model.elements[r].display_name()
                             for r in result.roots]
     if fmt == "json":
         return render_json(payload)
-    if fmt == "dot":
-        lines = ["digraph trace {", "  rankdir=LR;"]
-        seen_edges = set()
-        for node in reached:
-            for edge in result.paths[node]:
-                key = (edge.source, edge.target, edge.kind)
-                if key in seen_edges:
-                    continue
-                seen_edges.add(key)
-                lines.append(
-                    f"  {_dot_id(labels[edge.source])} -> "
-                    f"{_dot_id(labels[edge.target])} "
-                    f"[style={_EDGE_STYLE[edge.kind]}, "
-                    f"label=\"{edge.kind.value}\"];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
     if fmt != "text":
         raise RenderError(f"traces cannot be rendered as {fmt!r}")
     lines = [f"from {payload['start']}:"]

@@ -16,8 +16,7 @@ from psumlint.profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
                               Provenance, StereotypeApplication,
                               apply_measurement_error, check_applicability)
 from psumlint.propagation import (PropagationEdgeKind, TRACE_KINDS,
-                                  backward_trace, forward_trace,
-                                  reachable_set)
+                                  backward_trace, forward_trace)
 from psumlint.reporting import render_diagnostics, render_stats
 from psumlint.source import SourceFile
 from psumlint.syntax import parse_file
@@ -129,7 +128,7 @@ def test_criterion_5_propagation_traces_and_oracle():
     delivering = model.resolve_qualified(
         "Configuration::server::serverBehavior::delivering")
     result = forward_trace(interaction.graph, publish, effects_only=True)
-    path = result.paths[delivery]
+    path = result.path(delivery)
     assert [e.kind for e in path] == [PropagationEdgeKind.PROPAGATES] * 2
     assert [e.target for e in path] == [delivering, delivery]
 
@@ -152,7 +151,7 @@ def test_criterion_5_propagation_traces_and_oracle():
         assert len(graph.nodes()) <= 200
         oracle = brute_force_reachability(graph, TRACE_KINDS)
         for node in graph.nodes():
-            assert reachable_set(graph, node, TRACE_KINDS) == oracle[node]
+            assert set(forward_trace(graph, node).reached) == oracle[node]
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     verdict(5, f"two-hop effect chain, backward roots, and brute-force "

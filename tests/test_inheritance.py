@@ -79,7 +79,7 @@ def test_empty_model_has_empty_report():
     assert report.sources == () and report.uncertain == ()
 
 
-def test_element_without_edges_or_annotations_has_empty_effective(acc):
+def test_element_with_no_edges_or_annotations_has_empty_effective(acc):
     model = acc.model
     ready = model.resolve_qualified("BehavioralModel::ACCState::ready")
     assert acc.effective[ready] == []
@@ -340,10 +340,15 @@ def _oracle(model):
     An application of kind s at the end of a path is carried unless some
     element on it applies s itself and leaves over a redefinition edge.
     Per (s, origin) the shortest path wins, and of those the one whose
-    edge positions in ``out_edges`` order are least.
+    edge positions in ``model.edges`` order are least.
     """
+    inherits = {}
+    for edge in model.edges:
+        if edge.kind in INHERITANCE_KINDS:
+            inherits.setdefault(edge.source, []).append(edge)
+
     def edges(node):
-        return [e for e in model.out_edges(node) if e.kind in INHERITANCE_KINDS]
+        return inherits.get(node, [])
 
     def direct(node):
         return {a.stereotype: a for a in model.elements[node].annotations}

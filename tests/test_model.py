@@ -24,7 +24,7 @@ def test_radar_subclassifies_sensor(acc):
     model = acc.model
     radar = qn(acc, "StructuralModel::Radar")
     sensor = qn(acc, "StructuralModel::Sensor")
-    edges = [e for e in model.out_edges(radar)
+    edges = [e for e in model.inheritance_edges(radar)
              if e.kind is EdgeKind.SUBCLASSIFICATION]
     assert [e.target for e in edges] == [sensor]
 
@@ -33,11 +33,11 @@ def test_conjugated_port_typing_sets_flag(interaction):
     model = interaction.model
     port = qn(interaction, "Configuration::producer::publicationPort")
     port_def = qn(interaction, "Configuration::PublicationPort")
-    edges = [e for e in model.out_edges(port)
+    edges = [e for e in model.inheritance_edges(port)
              if e.kind is EdgeKind.FEATURE_TYPING]
     assert [(e.target, e.conjugated) for e in edges] == [(port_def, True)]
     plain = qn(interaction, "Configuration::server::publicationPort")
-    edges = [e for e in model.out_edges(plain)
+    edges = [e for e in model.inheritance_edges(plain)
              if e.kind is EdgeKind.FEATURE_TYPING]
     assert [(e.target, e.conjugated) for e in edges] == [(port_def, False)]
 
@@ -370,5 +370,5 @@ def test_forward_chain_resolves_in_linear_work():
     assert analysis.findings == []
     u = qn(analysis, "P::u")
     m = qn(analysis, f"P::D{depth}::m")
-    assert [e.target for e in analysis.model.out_edges(u)] == [m]
+    assert [e.target for e in analysis.model.edges if e.source == u] == [m]
     assert edges.call_count < 10 * depth

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -5,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psumlint.api import analyze_text
+from psumlint.model import strongly_connected
 from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
                                   PropagationEdgeKind, PropagationGraph,
                                   SpecSuggestion, TRACE_KINDS,
                                   TraceStartError, backward_trace,
-                                  detect_cycles, forward_trace,
-                                  reachable_set)
+                                  forward_trace)
+from psumlint.reporting import render_trace
 from psumlint.source import SourceFile
 
 from conftest import ALL_FIXTURES, analyze_fixture
@@ -58,7 +62,7 @@ def test_forward_trace_two_hops_to_delivery(interaction):
     delivering = rq(interaction, "Configuration::server::serverBehavior::delivering")
     result = forward_trace(interaction.graph, publish, effects_only=True)
     assert delivering in result.reached and delivery in result.reached
-    path = result.paths[delivery]
+    path = result.path(delivery)
     assert len(path) == 2
     assert [e.kind for e in path] == [PropagationEdgeKind.PROPAGATES] * 2
     assert [e.target for e in path] == [delivering, delivery]
@@ -117,9 +121,24 @@ def test_trace_start_not_in_graph_raises_e001(acc):
         forward_trace(acc.graph, ready)
 
 
+def propagates_cycles(graph):
+    """Node sets of the strongly connected components over Propagates edges
+    that hold a cycle: more than one node, or one node with a self-loop."""
+    successors = {}
+    for edge in graph.edges:
+        if edge.kind is PropagationEdgeKind.PROPAGATES:
+            successors.setdefault(edge.source, []).append(edge.target)
+    groups = {}
+    for node, number in strongly_connected(successors).items():
+        groups.setdefault(number, set()).add(node)
+    return [group for group in groups.values()
+            if len(group) > 1
+            or any(node in successors.get(node, ()) for node in group)]
+
+
 def test_fixture_graphs_are_acyclic():
     for name in ALL_FIXTURES:
-        assert detect_cycles(analyze_fixture(name).graph) == []
+        assert propagates_cycles(analyze_fixture(name).graph) == []
 
 
 def test_synthetic_two_node_cycle():
@@ -129,11 +148,9 @@ def test_synthetic_two_node_cycle():
         "  «Effect» ref ::> b; } "
         "«Uncertainty<ocr, epi, subj>» part b defined by D { "
         "  «Effect» ref ::> a; } }")
-    cycles = detect_cycles(analysis.graph)
-    assert len(cycles) == 1
     a = analysis.model.resolve_qualified("P::a")
     b = analysis.model.resolve_qualified("P::b")
-    assert sorted(cycles[0]) == sorted([a, b])
+    assert propagates_cycles(analysis.graph) == [{a, b}]
     # traces terminate despite the cycle
     result = forward_trace(analysis.graph, a)
     assert set(result.reached) == {a, b}
@@ -148,71 +165,92 @@ def _effect_chain(length, ring):
     return analyze_text("package P {\n" + "\n".join(parts) + "\n}\n")
 
 
+def _trace_and_render_both_ways(analysis, first, last):
+    """Trace from ``first`` and to ``last`` and render both traces, where
+    each reached node's path is one edge longer than the one before it.
+
+    ``dot`` renders in full. ``text`` and ``json`` print a path per reached
+    node, so they grow with the square of the chain (71 MB of JSON at 1,100
+    nodes); they render the start and the last node, which has the longest
+    path. Returns the forward and the backward trace.
+    """
+    graph = analysis.graph
+    forward = forward_trace(graph, first)
+    backward = backward_trace(graph, last)
+    for result in (forward, backward):
+        depth = len(result.reached) - 1
+        assert render_trace(result, graph, "dot").count(" -> ") == depth
+        deepest = replace(result, reached=(result.start, result.reached[-1]))
+        text = render_trace(deepest, graph, "text")
+        assert text.count(" -> ") == depth
+        payload = json.loads(render_trace(deepest, graph, "json"))
+        assert len(payload["reached"][0]["path"]) == depth
+    return forward, backward
+
+
 def test_long_effect_chain_needs_no_recursion():
     analysis = _effect_chain(1100, ring=False)
     assert len(analysis.graph.edges) == 1099
-    assert detect_cycles(analysis.graph) == []
+    assert propagates_cycles(analysis.graph) == []
+    chain = [analysis.model.resolve_qualified(f"P::u{i}") for i in range(1100)]
+    forward, backward = _trace_and_render_both_ways(
+        analysis, chain[0], chain[-1])
+    assert forward.reached == tuple(chain)
+    assert backward.reached == tuple(reversed(chain))
+    assert [e.target for e in forward.path(chain[-1])] == chain[1:]
+    assert [e.source for e in backward.path(chain[0])] == \
+        list(reversed(chain[:-1]))
 
 
 def test_long_effect_ring_is_one_cycle():
     analysis = _effect_chain(1100, ring=True)
     ring = [analysis.model.resolve_qualified(f"P::u{i}") for i in range(1100)]
-    assert detect_cycles(analysis.graph) == [ring]
+    assert propagates_cycles(analysis.graph) == [set(ring)]
+    assert len(analysis.graph.edges) == len(ring)
+    forward, backward = _trace_and_render_both_ways(analysis, ring[0], ring[0])
+    assert forward.reached == tuple(ring)
+    assert backward.reached == (ring[0],) + tuple(reversed(ring[1:]))
 
 
-def _simple_cycles(adjacency):
-    """Every elementary cycle, least node first, by plain path enumeration."""
-    found = []
-
-    def extend(path):
-        for peer in adjacency.get(path[-1], ()):
-            if peer == path[0]:
-                found.append(path)
-            elif peer > path[0] and peer not in path:
-                extend(path + [peer])
-
-    for root in sorted(adjacency):
-        extend([root])
-    return found
+def test_trace_along_long_chain_holds_one_edge_per_node():
+    # a witness tuple per reached node would hold n(n-1)/2 edge references
+    # along an n-node chain: about 61 MiB at n = 4,000
+    count = 4000
+    graph = PropagationGraph(model=None)
+    for node in range(count):
+        graph.add_role(node, NodeRole.UNCERTAINTY)
+    for node in range(count - 1):
+        graph.add_edge(node, node + 1, PropagationEdgeKind.PROPAGATES, None)
+    forward_trace(graph, 0)  # builds the adjacency outside the measurement
+    tracemalloc.start()
+    try:
+        result = forward_trace(graph, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
+    assert result.reached == tuple(range(count))
+    assert len(result.path(count - 1)) == count - 1
 
 
 _NODE = st.integers(0, 6)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_NODE, _NODE), max_size=20),
-       st.lists(st.tuples(_NODE, _NODE, st.sampled_from(
-           [k for k in PropagationEdgeKind
-            if k is not PropagationEdgeKind.PROPAGATES])), max_size=6))
-def test_detect_cycles_matches_path_enumeration(propagates, others):
-    graph = PropagationGraph(model=None)
-    for source, target, kind in others:
-        graph.add_edge(source, target, kind, None)
-    adjacency = {}
-    for source, target in propagates:
-        graph.add_edge(source, target, PropagationEdgeKind.PROPAGATES, None)
-        adjacency.setdefault(source, set()).add(target)
-    cycles = detect_cycles(graph)
-    assert sorted(cycles) == sorted(_simple_cycles(adjacency))
-    assert [cycle[0] for cycle in cycles] == sorted(c[0] for c in cycles)
-    assert all(cycle[0] == min(cycle) for cycle in cycles)
-
-
 def _oracle_trace(graph, start, kinds, reverse):
     """(reached, paths, roots) of a trace by the walk that filtered and
     sorted the edges of every visited node, as traces did before the
-    graph kept its adjacency."""
+    graph kept its adjacency; each path is a tuple of edges."""
     paths = {start: ()}
     frontier = [start]
     order = [start]
     while frontier:
         nxt = []
         for node in sorted(frontier):
-            edges = graph.in_edges(node) if reverse else graph.out_edges(node)
             if not reverse and NodeRole.RISK in graph.roles.get(node, set()):
                 continue  # risks are sinks
             neighbours = sorted(
-                (edge for edge in edges if edge.kind in kinds),
+                (edge for edge in graph.edges if edge.kind in kinds
+                 and (edge.target if reverse else edge.source) == node),
                 key=lambda e: (e.source if reverse else e.target))
             for edge in neighbours:
                 peer = edge.source if reverse else edge.target
@@ -238,7 +276,8 @@ def _assert_traces_match_oracle(graph):
             for reverse, trace in ((False, forward_trace),
                                    (True, backward_trace)):
                 result = trace(graph, start, effects_only=effects_only)
-                assert (result.reached, result.paths, result.roots) == \
+                paths = {node: result.path(node) for node in result.reached}
+                assert (result.reached, paths, result.roots) == \
                     _oracle_trace(graph, start, kinds, reverse)
 
 
@@ -299,7 +338,7 @@ def test_adjacency_memo_follows_graph_changes():
 
 def test_empty_graph_has_no_cycles():
     analysis = analyze_text("package P { }")
-    assert detect_cycles(analysis.graph) == []
+    assert propagates_cycles(analysis.graph) == []
 
 
 def test_topic_report_examples(acc, arrowhead):
@@ -416,20 +455,20 @@ def test_traces_match_brute_force_closure():
         analysis = analyze_fixture(name)
         graph = analysis.graph
         assert len(graph.nodes()) <= 200
-        for kinds in (TRACE_KINDS, EFFECT_CHAIN_KINDS):
+        for effects_only in (False, True):
+            kinds = EFFECT_CHAIN_KINDS if effects_only else TRACE_KINDS
             oracle = brute_force_reachability(graph, kinds)
             for node in graph.nodes():
-                traced = reachable_set(graph, node, kinds)
-                assert traced == oracle[node], (name, node)
+                traced = forward_trace(graph, node, effects_only).reached
+                assert set(traced) == oracle[node], (name, node)
 
 
 def test_trace_duality():
     for name in ALL_FIXTURES:
         graph = analyze_fixture(name).graph
         nodes = graph.nodes()
-        forward = {n: reachable_set(graph, n, TRACE_KINDS) for n in nodes}
-        backward = {n: reachable_set(graph, n, TRACE_KINDS, reverse=True)
-                    for n in nodes}
+        forward = {n: set(forward_trace(graph, n).reached) for n in nodes}
+        backward = {n: set(backward_trace(graph, n).reached) for n in nodes}
         for x in nodes:
             for y in nodes:
                 fwd = y in forward[x]
@@ -445,9 +484,9 @@ def test_witness_paths_are_graph_edges():
         edge_set = {(e.source, e.target, e.kind) for e in graph.edges}
         for node in graph.nodes():
             result = forward_trace(graph, node)
-            for reached, path in result.paths.items():
+            for reached in result.reached:
                 cursor = node
-                for edge in path:
+                for edge in result.path(reached):
                     assert (edge.source, edge.target, edge.kind) in edge_set
                     assert edge.source == cursor
                     cursor = edge.target
@@ -490,5 +529,5 @@ def test_repeated_reference_merges_provenance_into_one_edge():
               == (c, u, PropagationEdgeKind.CAUSES)]
     assert len(causes) == 1
     assert [span.line for span in causes[0].provenance] == [7, 8]
-    assert graph.out_edges(c) == causes
-    assert graph.in_edges(u) == causes
+    assert graph.adjacency(TRACE_KINDS, False)[c] == [(u, causes[0])]
+    assert graph.adjacency(TRACE_KINDS, True)[u] == [(c, causes[0])]
