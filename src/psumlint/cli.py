@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success with no error findings, 1 validation errors present,
-2 parse or resolution failure, 3 usage error (unknown flag, missing file,
-bad qualified name).
+2 parse or resolution failure, 3 usage error (unknown flag, missing or
+unreadable file, bad qualified name).
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import sys
 from typing import Optional
 
 from . import reporting
-from .api import Analysis, analyze_files
+from .api import Analysis, analyze_sources
 from .diagnostics import Severity
 from .profile import ProfileCatalog, load_catalog
 from .propagation import TraceStartError, backward_trace, forward_trace
+from .source import SourceFile
 from .validator import has_errors, parse_or_resolution_errors
 
 EXIT_OK = 0
@@ -76,11 +77,17 @@ def _load(args) -> tuple[Optional[Analysis], int]:
         except (OSError, ValueError, KeyError) as exc:
             print(f"psumlint: cannot load profile catalog: {exc}", file=sys.stderr)
             return None, EXIT_USAGE
+    sources = []
     for path in args.files:
         if not os.path.isfile(path):
             print(f"psumlint: no such file: {path}", file=sys.stderr)
             return None, EXIT_USAGE
-    return analyze_files(args.files, catalog), EXIT_OK
+        try:
+            sources.append(SourceFile.read(path))
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"psumlint: cannot read {path}: {exc}", file=sys.stderr)
+            return None, EXIT_USAGE
+    return analyze_sources(sources, catalog), EXIT_OK
 
 
 def _want_color(args) -> bool:

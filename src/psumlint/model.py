@@ -24,6 +24,7 @@ relationship, so they see only direct members and roots.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -307,16 +308,26 @@ class Model:
 
     def resolve(self, name: str, context: Optional[int]) -> Optional[int]:
         """Resolve a qualified name / feature chain from a context element."""
-        segments = tuple(s.strip() for s in name.replace("::", ".").split(".")
-                         if s.strip())
+        segments = []
+        for match in _NAME_SEGMENT.finditer(name):
+            quoted, plain = match.groups()
+            if quoted is not None or plain:
+                segments.append(plain if quoted is None else quoted)
         if not segments:
             return None
-        ids, _failing = self.lookup(segments, context)
+        ids, _failing = self.lookup(tuple(segments), context)
         return ids[-1] if ids else None
 
     def resolve_qualified(self, name: str) -> Optional[int]:
         """Resolve a root-anchored qualified name, e.g. from the CLI."""
         return self.resolve(name, None)
+
+
+#: one segment of a name and the ``::`` or ``.`` after it, without the
+#: spaces around it. A quoted segment (``'…'``, or opened by a backquote,
+#: as the lexer reads a quoted name) is one name without its quotes.
+_NAME_SEGMENT = re.compile(
+    r"\s*(?:[`']([^'\n]*)'|((?:[^.:]|:(?!:))*?))\s*(?:::|\.|\Z)")
 
 
 class _Unresolved(Exception):

@@ -104,6 +104,42 @@ def test_missing_file_is_usage_error(capsys):
     assert "no such file" in err
 
 
+def test_unreadable_file_is_usage_error_for_every_subcommand(tmp_path,
+                                                             capsys):
+    bad = tmp_path / "bad.sysml"
+    bad.write_bytes(b"package P { part a; }\n\xff\n")
+    for argv in (("check",), ("stats",), ("propagate", "--from", "P::a"),
+                 ("topics",), ("risks",), ("graph",), ("derive-specs",)):
+        for files in ((str(bad),), (fixture_path("acc.sysml"), str(bad))):
+            code, out, err = invoke(capsys, *argv, *files)
+            assert (code, out) == (3, ""), argv
+            assert err.startswith(f"psumlint: cannot read {bad}: "), err
+            assert "can't decode byte 0xff" in err
+
+
+def test_quoted_name_with_a_dot_is_addressable(tmp_path, capsys):
+    model = tmp_path / "quoted.sysml"
+    model.write_text(
+        "package P {\n"
+        "  «Uncertainty<ocr, epi, subj>» part 'c.d';\n"
+        "  «Uncertainty<ocr, epi, subj>» part 'a b' { «Effect» ref ::> 'c.d'; }\n"
+        "}\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "graph", "--format", "json", str(model))
+    assert code == 0
+    assert {n["qualified_name"] for n in json.loads(out)["nodes"]} == \
+        {"P::c.d", "P::a b"}
+    code, out, err = invoke(capsys, "propagate", str(model), "--to", "P::'c.d'")
+    assert (code, out, err) == (0, "from P::c.d:\n  P::a b  (c.d -> a b)\n"
+                                   "roots: (none)\n", "")
+    for name in ("P::a b", " P :: 'a b' ", "`P'::'a b'"):
+        code, out, _ = invoke(capsys, "propagate", str(model), "--from", name)
+        assert (code, out) == (0, "from P::a b:\n  P::c.d  (a b -> c.d)\n")
+    # unquoted, the dot starts a feature chain: member d of P::c
+    code, _, err = invoke(capsys, "propagate", str(model), "--from", "P::c.d")
+    assert code == 3
+    assert "cannot resolve qualified name 'P::c.d'" in err
+
+
 def test_propagate_forward_effects_only(capsys):
     code, out, _ = invoke(
         capsys, "propagate", fixture_path("interaction.sysml"),
