@@ -195,8 +195,9 @@ class Model:
     ``build_model`` creates it when interning ends and resolves through it.
     While relationships resolve, a closure search that reaches an element in
     ``_unstarted`` raises ``_Unresolved`` so the builder resolves that
-    element first. ``freeze`` re-indexes the edges that cycle removal kept.
-    Nothing is cached: every closure is searched when it is asked for.
+    element first. ``freeze`` installs the edges that cycle removal kept, in
+    declaration order: by source element, each element's as written. Of
+    each specialization cycle the later-declared edge is dropped (R003).
     """
 
     files: tuple[SourceFile, ...]
@@ -218,8 +219,6 @@ class Model:
         default_factory=dict)
     #: elements whose relationships the builder has not started resolving
     _unstarted: set[int] = field(default_factory=set)
-    #: element -> its interrupted closure search (queue, seen, next index)
-    _resume: dict[int, tuple] = field(default_factory=dict)
 
     def inheritance_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         """An element's edges of ``INHERITANCE_KINDS``, in edge order; two
@@ -231,19 +230,16 @@ class Model:
 
         A breadth-first search over inheritance edges, run on every call;
         nothing is cached. While the model is built it raises
-        ``_Unresolved`` at an element whose relationships have not started,
-        and a search in ``_resume`` goes on from where it was interrupted.
+        ``_Unresolved`` at an element whose relationships have not started.
         """
-        queue, seen, index = self._resume.pop(eid, None) or ([eid], {eid}, 0)
-        while index < len(queue):
-            node = queue[index]
+        queue, seen = [eid], {eid}
+        for node in queue:
             if node in self._unstarted:
-                raise _Unresolved(node, eid, (queue, seen, index))
+                raise _Unresolved(node)
             for edge in self.inheritance_edges(node):
                 if edge.target not in seen:
                     seen.add(edge.target)
                     queue.append(edge.target)
-            index += 1
         return tuple(queue[1:])
 
     def metaclass_category(self, eid: int) -> MetaclassCategory:
@@ -251,12 +247,10 @@ class Model:
 
     def member(self, eid: int, name: str) -> Optional[int]:
         """The member ``name`` visible on an element: its own, else the first
-        along its closure. The closure is searched even for an owned member:
-        its ``_Unresolved`` orders the build, and so which edge R003 drops."""
-        closure = self.specialization_closure(eid)
+        along its closure."""
         hit = self._direct[eid].get(name)
         if hit is None:
-            for scope in closure:
+            for scope in self.specialization_closure(eid):
                 hit = self._direct[scope].get(name)
                 if hit is not None:
                     break
@@ -307,14 +301,16 @@ class Model:
         return None
 
     def resolve(self, name: str, context: Optional[int]) -> Optional[int]:
-        """Resolve a qualified name / feature chain from a context element."""
+        """Resolve a qualified name / feature chain from a context element.
+        A name with an empty unquoted segment resolves to nothing."""
         segments = []
         for match in _NAME_SEGMENT.finditer(name):
-            quoted, plain = match.groups()
-            if quoted is not None or plain:
-                segments.append(plain if quoted is None else quoted)
-        if not segments:
-            return None
+            quoted, plain, separator = match.groups()
+            if quoted is None and not plain:
+                return None
+            segments.append(plain if quoted is None else quoted)
+            if not separator:
+                break
         ids, _failing = self.lookup(tuple(segments), context)
         return ids[-1] if ids else None
 
@@ -323,17 +319,25 @@ class Model:
         return self.resolve(name, None)
 
 
-#: one segment of a name and the ``::`` or ``.`` after it, without the
-#: spaces around it. A quoted segment (``'…'``, or opened by a backquote,
-#: as the lexer reads a quoted name) is one name without its quotes.
+#: one segment of a name and the ``::`` or ``.`` after it (none at the end),
+#: without the spaces around it. A quoted segment (``'…'``, or opened by a
+#: backquote, as the lexer reads a quoted name) is one name without quotes.
 _NAME_SEGMENT = re.compile(
-    r"\s*(?:[`']([^'\n]*)'|((?:[^.:]|:(?!:))*?))\s*(?:::|\.|\Z)")
+    r"\s*(?:[`']([^'\n]*)'|((?:[^.:]|:(?!:))*?))\s*(::|\.|\Z)")
+
+
+def _name_segment(name: str) -> str:
+    """``name`` as a segment of a qualified name: as it is where
+    ``Model.resolve`` reads it back as itself, as every identifier, else
+    quoted."""
+    if name.isidentifier() or name and _NAME_SEGMENT.match(name + "::").group(2) == name:
+        return name
+    return f"'{name}'"
 
 
 class _Unresolved(Exception):
     """A closure search reached an element whose relationships have not
-    started resolving. The arguments are that element, the element whose
-    closure was searched, and the search's state to resume from."""
+    started resolving; the argument is that element."""
 
 
 def metaclass_category_of_kind(kind: ElementKind) -> MetaclassCategory:
@@ -414,13 +418,12 @@ class _Builder:
                     span: Span, ast: Optional[AstNode] = None,
                     is_prelude: bool = False) -> int:
         eid = len(self.elements)
-        if owner is not None:
-            qualified = None
-            owner_qn = self.elements[owner].qualified_name
-            if name is not None and owner_qn:
-                qualified = f"{owner_qn}::{name}"
-        else:
-            qualified = name
+        qualified = None
+        if name is not None:
+            qualified = _name_segment(name)
+            if owner is not None:
+                owner_qn = self.elements[owner].qualified_name
+                qualified = f"{owner_qn}::{qualified}" if owner_qn else None
         element = Element(id=eid, kind=kind, name=name, qualified_name=qualified,
                           owner=owner, span=span, ast=ast, is_prelude=is_prelude)
         self.elements.append(element)
@@ -573,10 +576,10 @@ class _Builder:
         stack and is resolved first; then the interrupted relationship is
         retried. Lookups have no side effects before they return, so a
         retry is safe. Started elements stay visible with the edges they
-        have so far, so a cycle still resolves and R003 reports it. Until
-        the retry only elements above the interrupted one run, and they add
-        edges only from elements that were not started, which the
-        interrupted search has not read; so the retry resumes that search.
+        have so far, so a cycle still resolves and R003 reports it. Once its
+        own relationships have resolved, an element starts its unstarted
+        inheritance targets, first edge's target first, before any retry.
+        The edges end sorted by source element.
         """
         model = self.model
         model._unstarted.update(eid for eid, element in enumerate(self.elements)
@@ -586,26 +589,28 @@ class _Builder:
                 continue
             stack = [self._start(eid)]
             while stack:
-                source, todo, resume = stack[-1]
+                source, todo = stack[-1]
                 if not todo:
-                    stack.pop()
+                    targets = (edge.target for edge in model.inheritance_edges(source))
+                    target = next((t for t in targets if t in model._unstarted), None)
+                    if target is None:
+                        stack.pop()
+                    else:
+                        stack.append(self._start(target))
                     continue
-                model._resume = resume
                 try:
                     self.resolve_relationship(source, *todo[-1])
                 except _Unresolved as blocked:
-                    node, searched, search = blocked.args
-                    resume[searched] = search
-                    stack.append(self._start(node))
+                    stack.append(self._start(blocked.args[0]))
                     continue
                 todo.pop()
-        model._resume = {}
+        self.edges.sort(key=lambda edge: edge.source)
 
-    def _start(self, eid: int) -> tuple[int, list, dict]:
-        """Mark an element started; returns it, its relationships with the
-        next one to resolve last, and the searches its retry resumes."""
+    def _start(self, eid: int) -> tuple[int, list]:
+        """Mark an element started; returns it and its relationships with
+        the next one to resolve last."""
         self.model._unstarted.discard(eid)
-        return eid, _relationships(self.elements[eid].ast)[::-1], {}
+        return eid, _relationships(self.elements[eid].ast)[::-1]
 
     def resolve_relationship(self, eid: int, path: NamePath,
                              kind: Optional[EdgeKind], conjugated: bool) -> None:
@@ -633,15 +638,9 @@ class _Builder:
     # ---- acyclicity ----------------------------------------------------------
 
     def remove_cycles(self) -> None:
-        """Drop, in resolution order, each inheritance edge that would close
-        a cycle over the edges kept before it (R003).
-
-        ``self.edges`` holds edges in the order they resolved, not the
-        order they were declared: when a lookup raises ``_Unresolved``, the
-        element its closure search reached resolves first and the lookup is
-        retried after it. Which edge of a cycle is dropped depends on that
-        order; ``test_model.py::test_owned_member_lookup_keeps_resolution_order``
-        pins one such case.
+        """Drop, in declaration order, each inheritance edge that would close
+        a cycle over the edges kept before it (R003): of each cycle, the
+        later-declared edge is dropped.
 
         Every node of a cycle lies in one strongly connected component of
         the inheritance edges, so only an edge inside a component is

@@ -251,29 +251,40 @@ _EDGE_STYLE = {
 
 
 def graph_node_labels(graph: PropagationGraph) -> dict[int, str]:
-    """Short unique labels: plain names, qualified just enough on collision."""
-    model = graph.model
-    labels: dict[int, str] = {}
-    for eid in graph.nodes():
-        element = model.elements[eid]
-        labels[eid] = element.name or f"n{eid}"
+    """Short unique labels: the last segment of each qualified name, one
+    segment longer on each collision.
+
+    A label is what the qualified name holds after the qualified name of
+    an ancestor and its ``::``, so it is cut only between segments.
+    """
+    elements = graph.model.elements
+    #: node -> the ancestor whose qualified name its label leaves out
+    cut = {eid: elements[eid].owner if elements[eid].qualified_name else None
+           for eid in graph.nodes()}
+
+    def label(eid: int) -> str:
+        element = elements[eid]
+        if element.qualified_name is None:
+            return element.name or f"n{eid}"
+        if cut[eid] is None:
+            return element.qualified_name
+        return element.qualified_name[len(elements[cut[eid]].qualified_name) + 2:]
+
+    labels = {eid: label(eid) for eid in cut}
     while True:
         by_label: dict[str, list[int]] = {}
-        for eid, label in labels.items():
-            by_label.setdefault(label, []).append(eid)
-        collisions = {label: ids for label, ids in by_label.items()
+        for eid, text in labels.items():
+            by_label.setdefault(text, []).append(eid)
+        collisions = {text: ids for text, ids in by_label.items()
                       if len(ids) > 1}
         if not collisions:
             return labels
         progressed = False
         for ids in collisions.values():
             for eid in ids:
-                label = labels[eid]
-                qualified = graph.model.elements[eid].qualified_name or label
-                if label != qualified:
-                    depth = label.count("::") + 2
-                    segments = qualified.split("::")
-                    labels[eid] = "::".join(segments[-depth:])
+                if cut[eid] is not None:
+                    cut[eid] = elements[cut[eid]].owner
+                    labels[eid] = label(eid)
                     progressed = True
         if not progressed:
             for ids in collisions.values():

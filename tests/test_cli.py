@@ -127,17 +127,49 @@ def test_quoted_name_with_a_dot_is_addressable(tmp_path, capsys):
     code, out, _ = invoke(capsys, "graph", "--format", "json", str(model))
     assert code == 0
     assert {n["qualified_name"] for n in json.loads(out)["nodes"]} == \
-        {"P::c.d", "P::a b"}
+        {"P::'c.d'", "P::a b"}
     code, out, err = invoke(capsys, "propagate", str(model), "--to", "P::'c.d'")
-    assert (code, out, err) == (0, "from P::c.d:\n  P::a b  (c.d -> a b)\n"
+    assert (code, out, err) == (0, "from P::'c.d':\n  P::a b  ('c.d' -> a b)\n"
                                    "roots: (none)\n", "")
     for name in ("P::a b", " P :: 'a b' ", "`P'::'a b'"):
         code, out, _ = invoke(capsys, "propagate", str(model), "--from", name)
-        assert (code, out) == (0, "from P::a b:\n  P::c.d  (a b -> c.d)\n")
+        assert (code, out) == (0, "from P::a b:\n  P::'c.d'  (a b -> 'c.d')\n")
     # unquoted, the dot starts a feature chain: member d of P::c
     code, _, err = invoke(capsys, "propagate", str(model), "--from", "P::c.d")
     assert code == 3
     assert "cannot resolve qualified name 'P::c.d'" in err
+
+
+def test_graph_qualified_names_read_back_in_propagate(tmp_path, capsys):
+    # a part named 'x::y' and a part y in a part x print apart, and each
+    # name graph prints resolves back to its node
+    model = tmp_path / "quoted.sysml"
+    model.write_text(
+        "package P {\n"
+        "  «Uncertainty<ocr, epi, subj>» part 'x::y' { «Effect» ref ::> x.y; }\n"
+        "  part x { «Uncertainty<ocr, epi, subj>» part y; }\n"
+        "}\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "graph", "--format", "json", str(model))
+    assert code == 0
+    names = [n["qualified_name"] for n in json.loads(out)["nodes"]]
+    assert sorted(names) == ["P::'x::y'", "P::x::y"]
+    for name in names:
+        code, out, err = invoke(capsys, "propagate", str(model), "--from", name)
+        assert (code, err) == (0, "") and out.startswith(f"from {name}:\n")
+    code, out, _ = invoke(capsys, "propagate", str(model), "--from", "P::'x::y'")
+    assert out == "from P::'x::y':\n  P::x::y  ('x::y' -> y)\n"
+
+
+@pytest.mark.parametrize("name", [
+    "Configuration..producer..publicationPort",
+    "::Configuration::producer::publicationPort",
+    "Configuration::::producer::publicationPort",
+    "Configuration::producer::publicationPort::"])
+def test_empty_name_segment_does_not_resolve(capsys, name):
+    code, out, err = invoke(capsys, "propagate", fixture_path("interaction.sysml"),
+                            "--from", name)
+    assert (code, out) == (3, "")
+    assert f"cannot resolve qualified name {name!r}" in err
 
 
 def test_propagate_forward_effects_only(capsys):

@@ -1,6 +1,6 @@
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psumlint.api import analyze_sources, analyze_text
@@ -169,16 +169,26 @@ def test_specialization_cycle_r003():
         assert element.id not in set(model.specialization_closure(element.id))
 
 
-def test_owned_member_lookup_keeps_resolution_order():
-    # a's lookup of b.y searches b's closure before its owned y, and that
-    # search resolves b first; skipping it would resolve x's edge before
-    # y's and drop x's edge from the x/y cycle instead
+def test_cycle_edge_dropped_in_declaration_order():
+    # a's lookup of b.y starts y, a's target, before x, so y's edge to x
+    # resolves before x's edge to y; R003 still drops the later-declared
+    # edge of the x/y cycle, y's
     analysis = analyze_text(
         "package P { part def a specializes b.y; "
         "part def b specializes a.q { part x :>> y; part y :>> x; } }")
     cycles = [d for d in analysis.model.diagnostics if d.code == "R003"]
     assert [(d.span.start, d.message) for d in cycles] == [
         (94, "specialization cycle through P::b::y; edge dropped")]
+
+
+def test_owned_member_lookup_does_not_reorder_cycle_removal():
+    # A's lookup of B::m takes B's owned m without searching B's closure,
+    # so B does not resolve first and B's later-declared edge is dropped
+    analysis = analyze_text("package P { part def A specializes B::m, B; "
+                            "part def B specializes A { part m; } }")
+    cycles = [d for d in analysis.model.diagnostics if d.code == "R003"]
+    assert [(d.span.start, d.message) for d in cycles] == [
+        (67, "specialization cycle through P::B; edge dropped")]
 
 
 def _breadth_first(parents: dict[int, list[int]], eid: int) -> tuple[int, ...]:
@@ -216,6 +226,8 @@ def test_cycle_removal_and_closure_on_random_models(data):
 
     with mock.patch.object(_Builder, "remove_cycles", recording):
         model = analyze_text(specialization_model(defs, usages)).model
+    sources = [edge.source for edge in declared]
+    assert sources == sorted(sources)
     kept = {id(edge) for edge in model.edges}
     assert [edge for edge in declared if id(edge) in kept] == list(model.edges)
 
@@ -243,6 +255,63 @@ def test_cycle_removal_and_closure_on_random_models(data):
         closure = model.specialization_closure(eid)
         assert closure == _breadth_first(parents, eid)
         assert eid not in closure
+
+
+_STEREOTYPES = ("", "«Uncertainty<ocr, epi, subj>» ", "«IndeterminacySource<nd>» ",
+                "«Effect<con>» ")
+
+
+def _declaration_facts(declarations: list[str]):
+    """Findings, edges and effective kinds of package ``P``, by name only."""
+    analysis = analyze_text("package P { " + " ".join(declarations) + " }")
+    model = analysis.model
+    names = [element.qualified_name for element in model.elements]
+    return (sorted((d.code, d.message) for d in analysis.findings),
+            sorted((names[e.source], names[e.target], e.kind.value)
+                   for e in model.edges),
+            {element.qualified_name: analysis.effective.kinds(element.id)
+             for element in model.elements if element.qualified_name})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_shuffled_declarations_keep_findings_edges_and_kinds(data):
+    # metamorphic: without R001 or R003, the order of the top-level
+    # declarations changes nothing, though chains such as u1 :> u0.a reach
+    # members through types declared after them. A usage's chains read only
+    # earlier usages: two usages that read each other's members (u0 :> u1.a;
+    # u1 :> u0.b) see a partial closure in whichever resolves second.
+    size = data.draw(st.integers(1, 4), label="defs")
+    index = st.integers(0, size - 1)
+    declarations = []
+    for i in range(size):
+        others = [t for t in range(size) if t != i]
+        general = data.draw(st.lists(st.sampled_from(others), max_size=2, unique=True)
+                            if others else st.just([]), label=f"D{i} specializes")
+        owned = [("a", data.draw(st.none() | index, label=f"D{i}::a"))]
+        if data.draw(st.booleans(), label=f"D{i} owns b"):
+            owned.append(("b", data.draw(st.none() | index, label=f"D{i}::b")))
+        head = data.draw(st.sampled_from(_STEREOTYPES)) + f"part def D{i}"
+        if general:
+            head += " specializes " + ", ".join(f"D{t}" for t in general)
+        body = " ".join(f"part {name}" + (f" : D{t}" if t is not None else "") + ";"
+                        for name, t in owned)
+        declarations.append(f"{head} {{ {body} }}")
+    count = data.draw(st.integers(1, 4), label="usages")
+    for j in range(count):
+        typed = data.draw(st.none() | index, label=f"u{j} type")
+        chains = data.draw(st.lists(st.tuples(
+            st.sampled_from((":>", ":>>")), st.integers(0, j - 1),
+            st.sampled_from(("", ".a", ".b"))), max_size=2)
+            if j else st.just([]), label=f"u{j} chains")
+        declarations.append(
+            data.draw(st.sampled_from(_STEREOTYPES)) + f"part u{j}"
+            + (f" : D{typed}" if typed is not None else "")
+            + "".join(f" {op} u{k}{member}" for op, k, member in chains) + ";")
+    facts = _declaration_facts(declarations)
+    assume(not any(code in ("R001", "R003") for code, _message in facts[0]))
+    shuffled = data.draw(st.permutations(declarations), label="order")
+    assert _declaration_facts(shuffled) == facts
 
 
 def test_strongly_connected_components():
@@ -290,6 +359,29 @@ def test_qualified_names_follow_ownership(acc):
         if owner.qualified_name and element.qualified_name:
             assert element.qualified_name == \
                 f"{owner.qualified_name}::{element.name}"
+
+
+def test_qualified_names_resolve_back():
+    quoted = analyze_text(
+        "package 'a::b' { part 'x::y'; part x { part y; } part x { part z; } "
+        "part 'c.d' { part 'e:' { part ' f'; } part ''; part '1'; } }").model
+    assert [e.qualified_name for e in quoted.elements if not e.is_prelude] == [
+        "'a::b'", "'a::b'::'x::y'", "'a::b'::x", "'a::b'::x::y", "'a::b'::x",
+        "'a::b'::x::z", "'a::b'::'c.d'",
+        "'a::b'::'c.d'::'e:'", "'a::b'::'c.d'::'e:'::' f'", "'a::b'::'c.d'::''",
+        "'a::b'::'c.d'::1"]
+    # except an R002 duplicate and what it owns
+    for model in [analyze_fixture(name).model for name in ALL_FIXTURES] + [quoted]:
+        duplicates = {d.span for d in model.diagnostics if d.code == "R002"}
+        for element in model.elements:
+            if element.qualified_name is None:
+                continue
+            cursor = element
+            while cursor.span not in duplicates and cursor.owner is not None:
+                cursor = model.elements[cursor.owner]
+            if cursor.span not in duplicates:
+                assert model.resolve(element.qualified_name, None) == element.id, \
+                    element.qualified_name
 
 
 def test_ownership_is_a_forest(acc):
@@ -356,9 +448,9 @@ def test_verbatim_radar_chain_reports_r001_and_corrected_is_clean():
 
 
 def test_forward_chain_resolves_in_linear_work():
-    # u's lookup of v.m reaches each def of the chain before the def's own
-    # relationships have started; each retry must resume the interrupted
-    # closure search rather than walk the chain again from v
+    # v's type D0 starts the chain: each def, once resolved, starts the def
+    # it specializes, so u's lookup of v.m walks the chain once rather than
+    # once per def it would otherwise meet unstarted
     depth = 1000
     defs = " ".join(f"part def D{i} specializes D{i + 1};" for i in range(depth))
     text = (f"package P {{ part v : D0; part u :> v.m; {defs} "
