@@ -14,7 +14,7 @@ from .propagation import (PropagationGraph, TraceStartError, backward_trace,
                           build_propagation_graph, derive_effect_specifications,
                           forward_trace, topic_report)
 from .inheritance import derived_report, effective_stereotypes
-from .reporting import StatsReport, model_stats
+from .reporting import model_stats
 from .source import SourceFile, Span
 from .syntax import parse_file
 from .validator import validate

@@ -18,7 +18,7 @@ from .profile import DEFAULT_CATALOG, ProfileCatalog, RiskAnnotation
 from .propagation import (PropagationGraph, SpecSuggestion, TopicRecord,
                           build_propagation_graph, derive_effect_specifications,
                           topic_report)
-from .reporting import StatsReport, model_stats
+from .reporting import model_stats
 from .source import SourceFile
 from .syntax import parse_file
 from .validator import validate
@@ -41,7 +41,7 @@ class Analysis:
     def findings(self) -> list[Diagnostic]:
         return validate(self.model, self.catalog, self.effective)
 
-    def stats(self) -> StatsReport:
+    def stats(self) -> dict:
         return model_stats(self.model, self.effective)
 
     def derived(self) -> DerivedReport:

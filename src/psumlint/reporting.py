@@ -11,7 +11,8 @@ references, never as new introductions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+
 from .diagnostics import Diagnostic
 from .inheritance import EffectiveMap
 from .model import Model
@@ -27,39 +28,6 @@ STEREOTYPE_ORDER = (BELIEF_STATEMENT, INDETERMINACY_SOURCE,
 _STEREOTYPE_RANK = {name: index for index, name in enumerate(STEREOTYPE_ORDER)}
 
 
-@dataclass
-class StatsReport:
-    lom_files: dict[str, int] = field(default_factory=dict)
-    lom_total: int = 0
-    element_counts: dict[str, int] = field(default_factory=dict)
-    stereotype_counts: dict[str, dict[str, dict[str, int]]] = field(default_factory=dict)
-    reference_counts: dict[str, int] = field(default_factory=dict)
-    nature_breakdown: dict[str, int] = field(default_factory=dict)
-    specification_declarations: int = 0
-    specification_refs: int = 0
-    effect_declarations: int = 0
-    effect_refs: int = 0
-    topic_count: int = 0
-    topics: list[dict] = field(default_factory=list)
-    risk_counts: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "lom": {"files": dict(self.lom_files), "total": self.lom_total},
-            "element_counts": dict(self.element_counts),
-            "stereotype_counts": self.stereotype_counts,
-            "reference_counts": dict(self.reference_counts),
-            "nature_breakdown": dict(self.nature_breakdown),
-            "specification_declarations": self.specification_declarations,
-            "specification_refs": self.specification_refs,
-            "effect_declarations": self.effect_declarations,
-            "effect_refs": self.effect_refs,
-            "topic_count": self.topic_count,
-            "topics": list(self.topics),
-            "risk_counts": dict(self.risk_counts),
-        }
-
-
 def count_lom(text: str) -> int:
     return sum(1 for line in text.splitlines() if line.strip())
 
@@ -73,90 +41,77 @@ def element_line_extent(element) -> int:
 
 
 def model_stats(model: Model, effective: EffectiveMap,
-                graph: PropagationGraph | None = None) -> StatsReport:
-    """Counts over the model; ``graph`` is accepted for old callers, unread."""
-    report = StatsReport()
-    for source in model.files:
-        report.lom_files[source.path] = count_lom(source.content)
-    report.lom_total = sum(report.lom_files.values())
-
+                graph: PropagationGraph | None = None) -> dict:
+    """The payload of ``docs/schemas/stats.schema.json``, in one pass over
+    the model; ``graph`` is accepted for old callers, unread. Each
+    application counts toward declarations, each element once per cell."""
+    lom = {source.path: count_lom(source.content) for source in model.files}
+    element_counts: dict[str, int] = {}
+    counts: dict[str, dict[str, dict[str, int]]] = {}
+    refs = {UNCERTAINTY: 0, INDETERMINACY_SPECIFICATION: 0, EFFECT: 0}
+    declared = {INDETERMINACY_SPECIFICATION: 0, EFFECT: 0}
+    natures: dict[str, int] = {}
+    topics: list[dict] = []
     for element in model.elements:
         if element.is_prelude:
             continue
-        key = element.kind.value
-        report.element_counts[key] = report.element_counts.get(key, 0) + 1
-
-    counts: dict[str, dict[str, dict[str, int]]] = {}
-    for element in model.elements:
-        if element.is_prelude or element.is_reference_carrier:
-            continue
-        direct_kinds = {a.stereotype for a in element.annotations}
-        inherited_kinds = effective.kinds(element.id) - direct_kinds
-        for stereotype in _in_stereotype_order(direct_kinds):
-            cell = counts.setdefault(stereotype, {}).setdefault(
-                element.kind.value,
-                {"direct": 0, "inherited": 0, "element_lom": 0})
+        kind = element.kind.value
+        element_counts[kind] = element_counts.get(kind, 0) + 1
+        direct = set()
+        topic_members = []
+        for app in element.annotations:
+            direct.add(app.stereotype)
+            refs[INDETERMINACY_SPECIFICATION] += len(app.spec_refs)
+            refs[EFFECT] += len(app.effect_refs)
+            refs[UNCERTAINTY] += len(app.uncertainty_refs)
+            if app.stereotype in declared:
+                declared[app.stereotype] += 1
+            elif app.stereotype == INDETERMINACY_SOURCE and app.nature:
+                natures[app.nature] = natures.get(app.nature, 0) + 1
+            elif app.stereotype == UNCERTAINTY_TOPIC:
+                topic_members.append(len(app.uncertainty_refs))
+        if topic_members:
+            topics.append({"topic": element.display_name(),
+                           "members": sum(topic_members)})
+        if element.is_reference_carrier:
+            continue  # a carrier adds refs to its owner, never a cell
+        for stereotype in _in_stereotype_order(direct):
+            cell = _cell(counts, stereotype, kind)
             cell["direct"] += 1
             cell["element_lom"] += element_line_extent(element)
-        for stereotype in _in_stereotype_order(inherited_kinds):
-            cell = counts.setdefault(stereotype, {}).setdefault(
-                element.kind.value,
-                {"direct": 0, "inherited": 0, "element_lom": 0})
-            cell["inherited"] += 1
-    report.stereotype_counts = counts
+        for stereotype in _in_stereotype_order(
+                effective.kinds(element.id) - direct):
+            _cell(counts, stereotype, kind)["inherited"] += 1
 
-    ref_counts = {UNCERTAINTY: 0, INDETERMINACY_SPECIFICATION: 0, EFFECT: 0}
-    for element in model.elements:
-        for app in element.annotations:
-            ref_counts[INDETERMINACY_SPECIFICATION] += len(app.spec_refs)
-            ref_counts[EFFECT] += len(app.effect_refs)
-            ref_counts[UNCERTAINTY] += len(app.uncertainty_refs)
-            if app.stereotype == INDETERMINACY_SOURCE and app.nature:
-                report.nature_breakdown[app.nature] = \
-                    report.nature_breakdown.get(app.nature, 0) + 1
-    report.reference_counts = ref_counts
-    report.specification_refs = ref_counts[INDETERMINACY_SPECIFICATION]
-    report.effect_refs = ref_counts[EFFECT]
-
-    report.specification_declarations = _direct_count(model, INDETERMINACY_SPECIFICATION)
-    report.effect_declarations = _direct_count(model, EFFECT)
-
-    topic_names: list[dict] = []
-    for element in model.elements:
-        members = 0
-        is_topic = False
-        for app in element.annotations:
-            if app.stereotype == UNCERTAINTY_TOPIC:
-                is_topic = True
-                members += len(app.uncertainty_refs)
-        if is_topic:
-            topic_names.append({"topic": element.display_name(),
-                                "members": members})
-    report.topics = topic_names
-    report.topic_count = len(topic_names)
-
-    levels = dict.fromkeys(model.risk_levels, 0)
+    risk_counts = dict.fromkeys(model.risk_levels, 0)
     for risk in model.risks:
-        if risk.impact in levels:
-            levels[risk.impact] += 1
-    report.risk_counts = levels
-    return report
+        if risk.impact in risk_counts:
+            risk_counts[risk.impact] += 1
+    return {
+        "lom": {"files": lom, "total": sum(lom.values())},
+        "element_counts": element_counts,
+        "stereotype_counts": counts,
+        "reference_counts": refs,
+        "nature_breakdown": natures,
+        "specification_declarations": declared[INDETERMINACY_SPECIFICATION],
+        "specification_refs": refs[INDETERMINACY_SPECIFICATION],
+        "effect_declarations": declared[EFFECT],
+        "effect_refs": refs[EFFECT],
+        "topic_count": len(topics),
+        "topics": topics,
+        "risk_counts": risk_counts,
+    }
 
 
-def _in_stereotype_order(kinds: set[str]) -> list[str]:
+def _cell(counts: dict, stereotype: str, kind: str) -> dict[str, int]:
+    return counts.setdefault(stereotype, {}).setdefault(
+        kind, {"direct": 0, "inherited": 0, "element_lom": 0})
+
+
+def _in_stereotype_order(kinds: Iterable[str]) -> list[str]:
     """Profile order first, then any catalog-defined extras by name."""
     last = len(_STEREOTYPE_RANK)
     return sorted(kinds, key=lambda name: (_STEREOTYPE_RANK.get(name, last), name))
-
-
-def _direct_count(model: Model, stereotype: str) -> int:
-    total = 0
-    for element in model.elements:
-        if element.is_reference_carrier:
-            continue
-        total += sum(1 for app in element.annotations
-                     if app.stereotype == stereotype)
-    return total
 
 
 # -- rendering -------------------------------------------------------------------
@@ -178,9 +133,12 @@ def render_diagnostics(diags: list[Diagnostic], fmt: str,
         for diag in diags:
             text = diag.render_text()
             if color:
-                tint = "31" if diag.severity.value == "error" else "33"
-                text = text.replace(diag.severity.value,
-                                    f"\x1b[{tint}m{diag.severity.value}\x1b[0m", 1)
+                # the severity word follows the location, which may hold it too
+                severity = diag.severity.value
+                tint = "31" if severity == "error" else "33"
+                head = f"{diag.span.location()}: "
+                text = (f"{head}\x1b[{tint}m{severity}\x1b[0m"
+                        + text[len(head) + len(severity):])
             lines.append(text)
         return "\n".join(lines) + ("\n" if lines else "")
     raise RenderError(f"diagnostics cannot be rendered as {fmt!r}")
@@ -197,39 +155,40 @@ def _table(rows: list[tuple[str, ...]], indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-def render_stats(report: StatsReport, fmt: str) -> str:
+def render_stats(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return render_json(report.to_dict())
+        return render_json(report)
     if fmt != "text":
         raise RenderError(f"stats cannot be rendered as {fmt!r}")
     sections = []
-    rows = [(path, str(n)) for path, n in sorted(report.lom_files.items())]
-    rows.append(("total", str(report.lom_total)))
+    rows = [(path, str(n)) for path, n in sorted(report["lom"]["files"].items())]
+    rows.append(("total", str(report["lom"]["total"])))
     sections.append("Lines of model\n" + _table(rows))
-    rows = [(kind, str(n)) for kind, n in sorted(report.element_counts.items())]
+    rows = [(kind, str(n)) for kind, n in sorted(report["element_counts"].items())]
     sections.append("Element counts\n" + _table(rows))
     rows = []
-    for stereotype in STEREOTYPE_ORDER:
-        for kind, cell in sorted(report.stereotype_counts.get(stereotype, {}).items()):
+    counts = report["stereotype_counts"]
+    for stereotype in _in_stereotype_order(counts):
+        for kind, cell in sorted(counts[stereotype].items()):
             rows.append((stereotype, kind,
                          f"{cell['direct']} ({cell['element_lom']})",
                          f"{cell['inherited']} inherited"))
     sections.append("Stereotype applications, direct (element lines)\n"
                     + _table(rows))
     rows = [(name, str(count)) for name, count in
-            sorted(report.nature_breakdown.items())]
+            sorted(report["nature_breakdown"].items())]
     if rows:
         sections.append("Indeterminacy natures\n" + _table(rows))
     rows = [
-        ("specifications declared", str(report.specification_declarations)),
-        ("specification refs", str(report.specification_refs)),
-        ("effects declared", str(report.effect_declarations)),
-        ("effect refs", str(report.effect_refs)),
-        ("uncertainty refs", str(report.reference_counts.get(UNCERTAINTY, 0))),
-        ("topics", str(report.topic_count)),
+        ("specifications declared", str(report["specification_declarations"])),
+        ("specification refs", str(report["specification_refs"])),
+        ("effects declared", str(report["effect_declarations"])),
+        ("effect refs", str(report["effect_refs"])),
+        ("uncertainty refs", str(report["reference_counts"][UNCERTAINTY])),
+        ("topics", str(report["topic_count"])),
     ]
     sections.append("References\n" + _table(rows))
-    rows = [(level, str(n)) for level, n in report.risk_counts.items()]
+    rows = [(level, str(n)) for level, n in report["risk_counts"].items()]
     sections.append("Risks by impact\n" + _table(rows))
     return "\n\n".join(sections) + "\n"
 
@@ -293,10 +252,15 @@ def graph_node_labels(graph: PropagationGraph) -> dict[int, str]:
             return labels
 
 
+#: DOT keywords, which are case-independent and cannot be bare IDs
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
 def _dot_id(label: str) -> str:
-    if label.replace("_", "a").isalnum() and not label[0].isdigit():
+    if (label.replace("_", "a").isalnum() and not label[0].isdigit()
+            and label.lower() not in _DOT_KEYWORDS):
         return label
-    return '"' + label.replace('"', '\\"') + '"'
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def render_graph(graph: PropagationGraph, fmt: str) -> str:

@@ -13,7 +13,7 @@ tree is always returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
 from typing import Callable, Optional, Union
@@ -122,27 +122,6 @@ class AstNode:
 
     def attr(self, name: str, default=None):
         return self.attrs.get(name, default)
-
-    def structure(self):
-        """Hashable structural digest, used by determinism checks."""
-        return (self.kind, _structural(self.attrs),
-                tuple(c.structure() for c in self.children))
-
-
-def _structural(value):
-    """Hashable form of an attribute value; a dataclass goes by its fields."""
-    if isinstance(value, AstNode):
-        return value.structure()
-    if isinstance(value, Span):
-        return (value.start, value.end)
-    if isinstance(value, (list, tuple)):
-        return tuple(_structural(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _structural(v)) for k, v in value.items()))
-    if is_dataclass(value):
-        return (type(value).__name__,
-                tuple(_structural(getattr(value, f.name)) for f in fields(value)))
-    return value
 
 
 @dataclass(frozen=True)

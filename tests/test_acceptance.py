@@ -26,6 +26,7 @@ from conftest import (ALL_FIXTURES, CLEAN_FIXTURES, analyze_fixture,
 from test_profile import CATEGORY_REPRESENTATIVE, TABLE, element_of_category
 from test_propagation import brute_force_reachability
 from test_reporting import check as check_schema
+from test_golden import parse_record
 from test_validator import MUTANTS, mutate
 
 
@@ -159,12 +160,12 @@ def test_criterion_5_propagation_traces_and_oracle():
 
 
 def test_criterion_6_statistics():
-    vfea = analyze_fixture("vfea.sysml").stats().to_dict()
+    vfea = analyze_fixture("vfea.sysml").stats()
     assert vfea["stereotype_counts"]["Uncertainty"] == \
         {"attribute": {"direct": 1, "inherited": 0, "element_lom": 5}}
     assert "IndeterminacySource" not in vfea["stereotype_counts"]
 
-    acc = analyze_fixture("acc.sysml").stats().to_dict()
+    acc = analyze_fixture("acc.sysml").stats()
     counts = acc["stereotype_counts"]
     assert counts["BeliefStatement"]["state"]["direct"] == 1
     assert counts["Uncertainty"]["transition"]["direct"] == 2
@@ -244,10 +245,7 @@ def test_criterion_9_determinism_losslessness_and_fuzz():
         source = SourceFile(path=name, content=text)
         tokens, _ = tokenize(source)
         assert reconstruct(source, tokens) == text
-        first, diags1 = parse_file(SourceFile(path=name, content=text))
-        second, diags2 = parse_file(SourceFile(path=name, content=text))
-        assert first.structure() == second.structure()
-        assert [d.to_dict() for d in diags1] == [d.to_dict() for d in diags2]
+        assert parse_record(text, name) == parse_record(text, name)
         analysis = analyze_fixture(name)
         keys = [d.sort_key() for d in analysis.findings]
         assert keys == sorted(keys)

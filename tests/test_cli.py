@@ -140,6 +140,31 @@ def test_quoted_name_with_a_dot_is_addressable(tmp_path, capsys):
     assert "cannot resolve qualified name 'P::c.d'" in err
 
 
+@pytest.mark.parametrize("source, target, ids", [
+    # DOT keywords, in any case, are not bare IDs
+    ("node", "Edge", ('"node"', '"Edge"')),
+    ("Subgraph", "strict", ('"Subgraph"', '"strict"')),
+    # a backslash is escaped, so it cannot escape the closing quote
+    ("'a\\'", "'b\"c'", ('"a\\\\"', '"b\\"c"')),
+])
+def test_dot_ids_quote_keywords_and_backslashes(tmp_path, capsys, source,
+                                                target, ids):
+    model = tmp_path / "dot.sysml"
+    model.write_text(
+        f"package P {{ «Uncertainty<ocr, epi, subj>» part {source} "
+        f"{{ «Effect» ref ::> {target}; }} "
+        f"«Effect<ocr, epi, subj>» part {target}; }}", encoding="utf-8")
+    edge = f'  {ids[0]} -> {ids[1]} [style=bold, label="Propagates"];\n'
+    code, out, _ = invoke(capsys, "graph", str(model))
+    assert (code, out) == (0, "digraph propagation {\n  rankdir=LR;\n"
+                              f"  {ids[0]} [shape=ellipse];\n"
+                              f"  {ids[1]} [shape=doubleoctagon];\n"
+                              f"{edge}}}\n")
+    code, out, _ = invoke(capsys, "propagate", str(model), "--from",
+                          f"P::{source}", "--format", "dot")
+    assert (code, out) == (0, f"digraph trace {{\n  rankdir=LR;\n{edge}}}\n")
+
+
 def test_graph_qualified_names_read_back_in_propagate(tmp_path, capsys):
     # a part named 'x::y' and a part y in a part x print apart, and each
     # name graph prints resolves back to its node

@@ -161,10 +161,7 @@ def test_parse_never_raises_and_returns_tree_on_token_deletion():
 def test_parse_determinism():
     for name in ALL_FIXTURES:
         text = fixture_text(name)
-        first, diags1 = parse(text, path=name)
-        second, diags2 = parse(text, path=name)
-        assert first.structure() == second.structure()
-        assert [d.to_dict() for d in diags1] == [d.to_dict() for d in diags2]
+        assert parse_record(text, name) == parse_record(text, name)
 
 
 def test_comment_trivia_is_attached():

@@ -267,7 +267,7 @@ def test_unannotated_ref_redefinition_is_a_reference_carrier():
     assert "Uncertainty" in analysis.effective.kinds(carrier.id)
     assert carrier.id not in analysis.graph.roles
     assert carrier.id not in [e.element for e in analysis.derived().uncertain]
-    assert "ref" not in analysis.stats().stereotype_counts["Uncertainty"]
+    assert "ref" not in analysis.stats()["stereotype_counts"]["Uncertainty"]
 
 
 @pytest.mark.parametrize("declaration, carrier", [

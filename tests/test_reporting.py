@@ -1,10 +1,14 @@
 import json
 import os
+import re
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psumlint.api import analyze_text
+from psumlint.profile import DEFAULT_CATALOG, ProfileCatalog
 from psumlint.propagation import backward_trace, forward_trace
 from psumlint.reporting import (RenderError, count_lom, graph_node_labels,
                                 render_derived, render_diagnostics,
@@ -12,7 +16,8 @@ from psumlint.reporting import (RenderError, count_lom, graph_node_labels,
                                 render_suggestions, render_topics,
                                 render_trace)
 
-from conftest import ALL_FIXTURES, analyze_fixture, fixture_text
+from conftest import (ALL_FIXTURES, analyze_fixture, fixture_text,
+                      specialization_model)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
 
@@ -29,7 +34,7 @@ def check(payload_text: str, schema_name: str):
 # -- statistics -------------------------------------------------------------------
 
 def test_acc_statistics_hand_count(acc):
-    stats = acc.stats().to_dict()
+    stats = acc.stats()
     counts = stats["stereotype_counts"]
     assert counts["BeliefStatement"]["state"]["direct"] == 1
     assert counts["Uncertainty"]["transition"]["direct"] == 2
@@ -56,7 +61,7 @@ def test_acc_statistics_hand_count(acc):
 
 
 def test_acc_element_counts_follow_keyword_occurrences(acc):
-    counts = acc.stats().to_dict()["element_counts"]
+    counts = acc.stats()["element_counts"]
     assert counts["part def"] == 5      # ACC, Sensor, Radar, Lidar, Camera
     assert counts["part"] == 4          # radars, lidars, cameras, acc
     assert counts["state def"] == 1
@@ -70,7 +75,7 @@ def test_acc_element_counts_follow_keyword_occurrences(acc):
 
 
 def test_vfea_statistics_match_single_uncertainty(vfea):
-    stats = vfea.stats().to_dict()
+    stats = vfea.stats()
     assert stats["stereotype_counts"]["Uncertainty"] == \
         {"attribute": {"direct": 1, "inherited": 0, "element_lom": 5}}
     assert "IndeterminacySource" not in stats["stereotype_counts"]
@@ -80,7 +85,7 @@ def test_vfea_statistics_match_single_uncertainty(vfea):
 
 
 def test_empty_model_all_zero():
-    stats = analyze_text("").stats().to_dict()
+    stats = analyze_text("").stats()
     assert stats["element_counts"] == {}
     assert stats["stereotype_counts"] == {}
     assert stats["topic_count"] == 0
@@ -91,7 +96,7 @@ def test_lom_counts_non_blank_lines(acc):
     text = fixture_text("acc.sysml")
     expected = sum(1 for line in text.splitlines() if line.strip())
     stats = acc.stats()
-    assert stats.lom_total == expected
+    assert stats["lom"]["total"] == expected
     assert count_lom("a\n\n  \nb\n") == 2
 
 
@@ -101,7 +106,7 @@ def test_stats_json_round_trip(acc):
     stats = acc.stats()
     rendered = render_stats(stats, "json")
     check(rendered, "stats.schema.json")
-    assert json.loads(rendered) == stats.to_dict()
+    assert json.loads(rendered) == stats
 
 
 def test_stats_rendering_is_pure(acc):
@@ -117,10 +122,112 @@ def test_stats_text_contains_tables(acc):
     assert "Risks by impact" in text
 
 
+def _extended_catalog() -> ProfileCatalog:
+    """The bundled catalog plus two stereotypes it does not define."""
+    data = json.loads(DEFAULT_CATALOG.to_json())
+    data["stereotypes"]["Hazard"] = ["OccurrenceDefinitionLike",
+                                     "OccurrenceUsageLike"]
+    data["stereotypes"]["Drift"] = ["OccurrenceUsageLike"]
+    return ProfileCatalog.from_json(json.dumps(data))
+
+
+EXTENDED_CATALOG = _extended_catalog()
+_STEREOTYPE_ROW = re.compile(r"  (\S+)  +(\S+(?: \S+)*)  +(\d+) \((\d+)\)  +"
+                             r"(\d+) inherited")
+
+
+def stereotype_rows(text: str) -> list[tuple[str, str, int, int, int]]:
+    """(stereotype, kind, direct, element_lom, inherited) of each row of
+    the text report's stereotype section."""
+    section = text.split("Stereotype applications, direct (element lines)\n",
+                         1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        stereotype, kind, *numbers = _STEREOTYPE_ROW.fullmatch(line).groups()
+        rows.append((stereotype, kind, *map(int, numbers)))
+    return rows
+
+
+def stereotype_cells(stats: dict) -> list[tuple[str, str, int, int, int]]:
+    return [(stereotype, kind, cell["direct"], cell["element_lom"],
+             cell["inherited"])
+            for stereotype, cells in stats["stereotype_counts"].items()
+            for kind, cell in cells.items()]
+
+
+def test_stats_text_lists_catalog_defined_stereotypes():
+    analysis = analyze_text("package P { «Hazard» part def H; part h : H; }",
+                            catalog=EXTENDED_CATALOG)
+    stats = analysis.stats()
+    assert stats["stereotype_counts"] == {"Hazard": {
+        "part def": {"direct": 1, "inherited": 0, "element_lom": 1},
+        "part": {"direct": 0, "inherited": 1, "element_lom": 0}}}
+    assert stereotype_rows(render_stats(stats, "text")) == [
+        ("Hazard", "part", 0, 0, 1), ("Hazard", "part def", 1, 1, 0)]
+
+
+def test_stats_text_orders_profile_stereotypes_before_catalog_extras():
+    analysis = analyze_text(
+        "package P { «Hazard» part def H; «Drift» part d; "
+        "«Effect<con>» part e; «Uncertainty<con>» part u; }",
+        catalog=EXTENDED_CATALOG)
+    rows = stereotype_rows(render_stats(analysis.stats(), "text"))
+    assert [row[0] for row in rows] == ["Uncertainty", "Effect", "Drift",
+                                        "Hazard"]
+
+
+_DECORATIONS = ("", "«Uncertainty<ocr, epi, subj>» ", "«Effect<con>» ",
+                "«IndeterminacySource<nd>» ", "«Hazard» ", "«Drift» ",
+                "«Hazard, Effect<con>» ", "«Hazard, Hazard» ",
+                "«BeliefStatement» ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stats_text_shows_every_json_cell_once(data):
+    size = data.draw(st.integers(1, 4), label="defs")
+    index = st.integers(0, size - 1)
+    defs = data.draw(st.lists(st.lists(index, max_size=2), min_size=size,
+                              max_size=size), label="specializes")
+    usages = data.draw(st.lists(st.tuples(
+        st.none() | index, st.sampled_from(("", ":>", ":>>")),
+        st.integers(0, 2)), max_size=3), label="usages")
+    usages = [(typed, relation if other < len(usages) else "", other)
+              for typed, relation, other in usages]
+    names = [f"D{i}" for i in range(size)] + [f"u{j}"
+                                               for j in range(len(usages))]
+    decorations = {name: (data.draw(st.sampled_from(_DECORATIONS), label=name),
+                          "") for name in names}
+    text = specialization_model(defs, usages, decorations)
+    catalog = data.draw(st.sampled_from((DEFAULT_CATALOG, EXTENDED_CATALOG)),
+                        label="catalog")
+    stats = analyze_text(text, catalog=catalog).stats()
+    assert json.loads(render_stats(stats, "json")) == stats
+    assert sorted(stereotype_rows(render_stats(stats, "text"))) == \
+        sorted(stereotype_cells(stats))
+
+
 def test_graph_dot_contains_publish_to_delivering(interaction):
     dot = render_graph(interaction.graph, "dot")
     assert "publish -> delivering" in dot
     assert dot.startswith("digraph")
+
+
+def test_color_tints_the_severity_word_only():
+    # the path and the messages hold both severity words too
+    analysis = analyze_text(
+        "package P { part x : error_warning; "
+        "«Uncertainty<con>, Uncertainty<ocr>» part warning; }",
+        path="warnings/error.sysml")
+    plain = render_diagnostics(analysis.findings, "text")
+    assert plain == (
+        "warnings/error.sysml:1:22: error[R001]: cannot resolve "
+        "'error_warning' in 'error_warning'\n"
+        "warnings/error.sysml:1:56: warning[V014]: Uncertainty is applied "
+        "more than once to P::warning\n")
+    assert render_diagnostics(analysis.findings, "text", color=True) == \
+        plain.replace(": error[", ": \x1b[31merror\x1b[0m[").replace(
+            ": warning[", ": \x1b[33mwarning\x1b[0m[")
 
 
 def test_graph_json_schema(interaction):
