@@ -6,7 +6,6 @@ pass over the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -24,10 +23,10 @@ from .syntax import parse_file
 from .validator import validate
 
 
-@dataclass
 class Analysis:
-    model: Model
-    catalog: ProfileCatalog
+    def __init__(self, model: Model, catalog: ProfileCatalog) -> None:
+        self.model = model
+        self.catalog = catalog
 
     @cached_property
     def effective(self) -> EffectiveMap:

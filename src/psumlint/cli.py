@@ -84,7 +84,7 @@ def _load(args) -> tuple[Optional[Analysis], int]:
             return None, EXIT_USAGE
         try:
             sources.append(SourceFile.read(path))
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             print(f"psumlint: cannot read {path}: {exc}", file=sys.stderr)
             return None, EXIT_USAGE
     return analyze_sources(sources, catalog), EXIT_OK

@@ -10,7 +10,7 @@ Codes are grouped by prefix:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .source import Span
 
@@ -53,15 +53,14 @@ RULE_CATALOG: dict[str, tuple[Severity, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding: rule code, severity, primary location, message, notes."""
 
     code: str
     severity: Severity
     span: Span
     message: str
-    related: tuple[tuple[Span, str], ...] = field(default_factory=tuple)
+    related: tuple[tuple[Span, str], ...] = ()
 
     def sort_key(self) -> tuple[str, int, str]:
         return (self.span.file.path, self.span.start, self.code)

@@ -13,8 +13,7 @@ fields merge field-wise with the nearer application winning.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import EdgeKind, Model
 from .profile import (EFFECT, INDETERMINACY_SOURCE,
@@ -263,8 +262,7 @@ def effective_characterization(effective: EffectiveMap, eid: int):
     return merged
 
 
-@dataclass(frozen=True)
-class DerivedEntry:
+class DerivedEntry(NamedTuple):
     """An element that inherits a stereotype it does not apply itself;
     ``provenance`` is the link of its nearest such application."""
 
@@ -277,8 +275,7 @@ class DerivedEntry:
         return self.provenance.origin
 
 
-@dataclass(frozen=True)
-class DerivedReport:
+class DerivedReport(NamedTuple):
     """Elements made uncertain / indeterminate purely by inheritance."""
 
     uncertain: tuple[DerivedEntry, ...]

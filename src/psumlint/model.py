@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -118,8 +117,7 @@ INHERITANCE_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class SpecializationEdge:
+class SpecializationEdge(NamedTuple):
     source: int
     target: int
     kind: EdgeKind
@@ -127,14 +125,13 @@ class SpecializationEdge:
     conjugated: bool = False
 
 
-@dataclass(frozen=True)
-class BodyProperty:
+class BodyProperty(NamedTuple):
     name: str
     span: Span
     value: Optional[Value] = None
-    children: tuple["BodyProperty", ...] = ()
+    children: tuple[BodyProperty, ...] = ()
 
-    def find(self, name: str) -> Optional["BodyProperty"]:
+    def find(self, name: str) -> Optional[BodyProperty]:
         """Depth-first search for a property by name, self included."""
         if self.name == name:
             return self
@@ -145,8 +142,7 @@ class BodyProperty:
         return None
 
 
-@dataclass(frozen=True)
-class RefTarget:
+class RefTarget(NamedTuple):
     """A resolved reference chain: final target plus its anchoring context.
 
     ``anchor`` is the element the penultimate chain segment resolved to;
@@ -162,25 +158,35 @@ class RefTarget:
     relation: EdgeKind
 
 
-@dataclass
 class Element:
-    """One node of the resolved model tree."""
+    """One node of the resolved model tree.
 
-    id: int
-    kind: ElementKind
-    name: Optional[str]
-    qualified_name: Optional[str]
-    owner: Optional[int]
-    span: Span
-    owned: tuple[int, ...] = ()
-    annotations: tuple = ()  # tuple[StereotypeApplication], filled at build
-    body_properties: tuple[BodyProperty, ...] = ()
-    ref_targets: tuple[RefTarget, ...] = ()
-    about_target: Optional[int] = None
-    is_prelude: bool = False
-    #: a ``ref`` usage that subsets or redefines; set by profile.annotate_model
-    is_reference_carrier: bool = False
-    ast: Optional[AstNode] = None
+    ``annotations`` (its StereotypeApplications) and ``is_reference_carrier``
+    (a ``ref`` usage that subsets or redefines) are set by
+    ``profile.annotate_model``; the builder fills the rest.
+    """
+
+    __slots__ = ("id", "kind", "name", "qualified_name", "owner", "span",
+                 "owned", "annotations", "body_properties", "ref_targets",
+                 "about_target", "is_prelude", "is_reference_carrier", "ast")
+
+    def __init__(self, id: int, kind: ElementKind, name: Optional[str],
+                 qualified_name: Optional[str], owner: Optional[int], span: Span,
+                 ast: Optional[AstNode] = None, is_prelude: bool = False) -> None:
+        self.id = id
+        self.kind = kind
+        self.name = name
+        self.qualified_name = qualified_name
+        self.owner = owner
+        self.span = span
+        self.owned: tuple[int, ...] = ()
+        self.annotations: tuple = ()
+        self.body_properties: tuple[BodyProperty, ...] = ()
+        self.ref_targets: tuple[RefTarget, ...] = ()
+        self.about_target: Optional[int] = None
+        self.is_prelude = is_prelude
+        self.is_reference_carrier = False
+        self.ast = ast
 
     def display_name(self) -> str:
         if self.qualified_name:
@@ -188,7 +194,6 @@ class Element:
         return f"<anonymous {self.kind.value} at {self.span.location()}>"
 
 
-@dataclass
 class Model:
     """The resolved model.
 
@@ -200,25 +205,33 @@ class Model:
     each specialization cycle the later-declared edge is dropped (R003).
     """
 
-    files: tuple[SourceFile, ...]
-    elements: list[Element]
-    edges: tuple[SpecializationEdge, ...]
-    diagnostics: list[Diagnostic]
-    roots: tuple[int, ...]
-    prelude_roots: tuple[int, ...]
-    risk_levels: tuple[str, ...] = ()
-    risks: list = field(default_factory=list)  # list[RiskAnnotation], filled at build
-    #: scope -> (imported element, wildcard); every user root imports the
-    #: prelude packages' members after its own imports
-    imports: dict[int, tuple[tuple[int, bool], ...]] = field(default_factory=dict)
-    _direct: dict[int, dict[str, int]] = field(default_factory=dict)
-    _root_scope: dict[str, int] = field(default_factory=dict)
-    #: element -> its edges of ``INHERITANCE_KINDS``, in edge order; grown
-    #: as edges resolve, rebuilt by freeze
-    _inherits: dict[int, Sequence[SpecializationEdge]] = field(
-        default_factory=dict)
-    #: elements whose relationships the builder has not started resolving
-    _unstarted: set[int] = field(default_factory=set)
+    __slots__ = ("files", "elements", "edges", "diagnostics", "roots",
+                 "prelude_roots", "risk_levels", "risks", "imports",
+                 "_direct", "_root_scope", "_inherits", "_unstarted")
+
+    def __init__(self, files: tuple[SourceFile, ...], elements: list[Element],
+                 diagnostics: list[Diagnostic], roots: tuple[int, ...],
+                 prelude_roots: tuple[int, ...], risk_levels: tuple[str, ...],
+                 direct: dict[int, dict[str, int]],
+                 root_scope: dict[str, int]) -> None:
+        self.files = files
+        self.elements = elements
+        self.edges: tuple[SpecializationEdge, ...] = ()
+        self.diagnostics = diagnostics
+        self.roots = roots
+        self.prelude_roots = prelude_roots
+        self.risk_levels = risk_levels
+        self.risks: list = []  # list[RiskAnnotation], filled at build
+        #: scope -> (imported element, wildcard); every user root imports the
+        #: prelude packages' members after its own imports
+        self.imports: dict[int, tuple[tuple[int, bool], ...]] = {}
+        self._direct = direct
+        self._root_scope = root_scope
+        #: element -> its edges of ``INHERITANCE_KINDS``, in edge order; grown
+        #: as edges resolve, rebuilt by freeze
+        self._inherits: dict[int, Sequence[SpecializationEdge]] = {}
+        #: elements whose relationships the builder has not started resolving
+        self._unstarted: set[int] = set()
 
     def inheritance_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         """An element's edges of ``INHERITANCE_KINDS``, in edge order; two
@@ -540,13 +553,12 @@ class _Builder:
         self.model = Model(
             files=tuple(files),
             elements=self.elements,
-            edges=(),
             diagnostics=self.diagnostics,
             roots=tuple(self.roots),
             prelude_roots=tuple(self.prelude_roots),
             risk_levels=risk_levels,
-            _direct=self.member_map,
-            _root_scope=root_scope,
+            direct=self.member_map,
+            root_scope=root_scope,
         )
         return self.model
 

@@ -16,10 +16,9 @@ stereotype applications of their own.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+import os
 from decimal import Decimal
-from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -36,8 +35,7 @@ UNCERTAINTY_TOPIC = "UncertaintyTopic"
 EFFECT = "Effect"
 
 
-@dataclass(frozen=True)
-class ProfileCatalog:
+class ProfileCatalog(NamedTuple):
     """Machine-readable form of the profile's normative tables."""
 
     stereotypes: dict[str, tuple[str, ...]]
@@ -51,7 +49,7 @@ class ProfileCatalog:
     risk_levels: tuple[str, ...]
 
     def to_json(self) -> str:
-        return json.dumps({"version": 1, **asdict(self)}, indent=2) + "\n"
+        return json.dumps({"version": 1, **self._asdict()}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ProfileCatalog":
@@ -60,10 +58,22 @@ class ProfileCatalog:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a profile catalog must be a JSON object")
-        # annotations are postponed, so ``spec.type`` is a string
-        return cls(**{spec.name: _read_field(data[spec.name], spec.type,
-                                             spec.name)
-                      for spec in fields(cls)})
+        return cls(**{name: _read_field(data[name], shape, name)
+                      for name, shape in _CATALOG_SHAPES})
+
+
+#: each catalog field, in order, and the shape its JSON value is read as
+_CATALOG_SHAPES = (
+    ("stereotypes", "dict[str, tuple[str, ...]]"),
+    ("uncertainty_kinds", "dict[str, str]"),
+    ("uncertainty_natures", "dict[str, str]"),
+    ("perspectives", "dict[str, str]"),
+    ("indeterminacy_natures", "dict[str, str]"),
+    ("reducibility_levels", "tuple[str, ...]"),
+    ("patterns", "tuple[str, ...]"),
+    ("measurement_features", "tuple[str, ...]"),
+    ("risk_levels", "tuple[str, ...]"),
+)
 
 
 def _read_field(value: object, shape: str, name: str):
@@ -84,8 +94,10 @@ def _read_field(value: object, shape: str, name: str):
 def load_catalog(path: Optional[str] = None) -> ProfileCatalog:
     """Read a catalog file; without ``path``, the bundled one."""
     if path is None:
-        text = resources.files(__package__).joinpath("profile-catalog.json").read_text()
-        return ProfileCatalog.from_json(text)
+        # the loader reads files next to the module from a directory or a zip
+        data = __spec__.loader.get_data(
+            os.path.join(os.path.dirname(__file__), "profile-catalog.json"))
+        return ProfileCatalog.from_json(data.decode("utf-8"))
     with open(path, "r", encoding="utf-8-sig") as fh:
         return ProfileCatalog.from_json(fh.read())
 
@@ -95,8 +107,7 @@ DEFAULT_CATALOG = load_catalog()
 
 # -- measured expressions -----------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasuredExpression:
+class MeasuredExpression(NamedTuple):
     magnitude: Decimal
     unit: Optional[str] = None
 
@@ -105,8 +116,7 @@ class MeasuredExpression:
         return self.unit == "%"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lo: Decimal
     hi: Decimal
     unit: Optional[str] = None
@@ -136,8 +146,7 @@ def apply_measurement_error(nominal: MeasuredExpression,
 
 # -- applications -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UncertaintyCharacterization:
+class UncertaintyCharacterization(NamedTuple):
     kind: Optional[str] = None
     nature: Optional[str] = None
     perspective: Optional[str] = None
@@ -158,9 +167,6 @@ class UncertaintyCharacterization:
         )
 
 
-# not frozen: one is made per carried application, and a frozen dataclass
-# takes about four times as long to construct
-@dataclass(slots=True, eq=False, repr=False)
 class Provenance:
     """Where a stereotype application comes from.
 
@@ -173,11 +179,16 @@ class Provenance:
     after it is made.
     """
 
-    origin: int
-    span: Optional[Span] = None
-    hop: Optional[tuple[EdgeKind, int]] = None
-    rest: Optional["Provenance"] = None
-    depth: int = 0
+    __slots__ = ("origin", "span", "hop", "rest", "depth")
+
+    def __init__(self, origin: int, span: Optional[Span] = None,
+                 hop: Optional[tuple[EdgeKind, int]] = None,
+                 rest: Optional[Provenance] = None, depth: int = 0) -> None:
+        self.origin = origin
+        self.span = span
+        self.hop = hop
+        self.rest = rest
+        self.depth = depth
 
     @property
     def is_direct(self) -> bool:
@@ -213,26 +224,40 @@ class Provenance:
                 f"path={self.path!r})")
 
 
-@dataclass(slots=True)
 class StereotypeApplication:
-    stereotype: str
-    element: int
-    provenance: Provenance
-    span: Span
-    characterization: Optional[UncertaintyCharacterization] = None
-    nature: Optional[str] = None
-    duration: Optional[MeasuredExpression] = None
-    spec_refs: tuple[RefTarget, ...] = ()
-    effect_refs: tuple[RefTarget, ...] = ()
-    uncertainty_refs: tuple[RefTarget, ...] = ()
+    """One stereotype on one element, direct or carried to it. The
+    characterization, nature, duration and references are filled in as
+    the element's annotation and reference attachments are read."""
+
+    __slots__ = ("stereotype", "element", "provenance", "span",
+                 "characterization", "nature", "duration", "spec_refs",
+                 "effect_refs", "uncertainty_refs")
+
+    def __init__(self, stereotype: str, element: int, provenance: Provenance,
+                 span: Span,
+                 characterization: Optional[UncertaintyCharacterization] = None,
+                 nature: Optional[str] = None,
+                 duration: Optional[MeasuredExpression] = None,
+                 spec_refs: tuple[RefTarget, ...] = (),
+                 effect_refs: tuple[RefTarget, ...] = (),
+                 uncertainty_refs: tuple[RefTarget, ...] = ()) -> None:
+        self.stereotype = stereotype
+        self.element = element
+        self.provenance = provenance
+        self.span = span
+        self.characterization = characterization
+        self.nature = nature
+        self.duration = duration
+        self.spec_refs = spec_refs
+        self.effect_refs = effect_refs
+        self.uncertainty_refs = uncertainty_refs
 
     @property
     def is_direct(self) -> bool:
         return self.provenance.is_direct
 
 
-@dataclass(frozen=True)
-class RiskAnnotation:
+class RiskAnnotation(NamedTuple):
     name: Optional[str]
     element: int
     target: int
@@ -375,9 +400,9 @@ def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
             if target is not None:
                 base = target.characterization or UncertaintyCharacterization()
                 if prop.name == "u_reducibility":
-                    target.characterization = replace(base, reducibility=literal)
+                    target.characterization = base._replace(reducibility=literal)
                 else:
-                    target.characterization = replace(base, pattern=literal)
+                    target.characterization = base._replace(pattern=literal)
         elif prop.name == "b_duration":
             expr = _measured_expression(prop.value)
             for app in apps:
@@ -399,7 +424,7 @@ def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
                                        BELIEF_STATEMENT))
             if holder is not None and entries:
                 base = holder.characterization or UncertaintyCharacterization()
-                holder.characterization = replace(base, measurements=tuple(entries))
+                holder.characterization = base._replace(measurements=tuple(entries))
     return diags
 
 

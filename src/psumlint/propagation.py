@@ -15,9 +15,8 @@ Propagates only in the effect-chain view. Risk nodes are sinks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .inheritance import EffectiveMap, has_effective
 from .model import Model
@@ -52,26 +51,27 @@ EFFECT_CHAIN_KINDS = frozenset({PropagationEdgeKind.PROPAGATES})
 _ROOT_ROLES = frozenset({NodeRole.SOURCE, NodeRole.SPECIFICATION})
 
 
-@dataclass(frozen=True)
-class PropagationEdge:
+class PropagationEdge(NamedTuple):
     source: int
     target: int
     kind: PropagationEdgeKind
     provenance: tuple[Span, ...] = ()
 
 
-@dataclass
 class PropagationGraph:
-    model: Model
-    roles: dict[int, set[NodeRole]] = field(default_factory=dict)
-    edges: list[PropagationEdge] = field(default_factory=list)
-    #: (source, target, kind) -> position of that edge in ``edges``
-    _index: dict[tuple[int, int, PropagationEdgeKind], int] = field(
-        default_factory=dict)
-    #: (kinds, reverse) -> adjacency, built on first use; see ``adjacency``
-    _adjacency: dict[tuple[frozenset, bool],
-                     dict[int, list[tuple[int, PropagationEdge]]]] = field(
-        default_factory=dict, compare=False, repr=False)
+    __slots__ = ("model", "roles", "edges", "_index", "_adjacency", "_labels")
+
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        self.roles: dict[int, set[NodeRole]] = {}
+        self.edges: list[PropagationEdge] = []
+        #: (source, target, kind) -> position of that edge in ``edges``
+        self._index: dict[tuple[int, int, PropagationEdgeKind], int] = {}
+        #: (kinds, reverse) -> adjacency, built on first use; see ``adjacency``
+        self._adjacency: dict[tuple[frozenset, bool],
+                              dict[int, list[tuple[int, PropagationEdge]]]] = {}
+        #: node -> label, built on first use by ``reporting.graph_node_labels``
+        self._labels: Optional[dict[int, str]] = None
 
     def nodes(self) -> list[int]:
         return sorted(self.roles)
@@ -82,11 +82,13 @@ class PropagationGraph:
     def add_role(self, eid: int, role: NodeRole) -> None:
         self.roles.setdefault(eid, set()).add(role)
         self._adjacency.clear()
+        self._labels = None
 
     def add_edge(self, source: int, target: int, kind: PropagationEdgeKind,
                  span: Optional[Span]) -> None:
         """Add an edge, or append ``span`` to the provenance of the same one."""
         self._adjacency.clear()
+        self._labels = None
         spans = (span,) if span is not None else ()
         key = (source, target, kind)
         position = self._index.get(key)
@@ -192,8 +194,7 @@ def build_propagation_graph(model: Model,
 
 # -- traces ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     """Nodes reached from ``start``, in walk order, each with the edge by
     which the walk first reached it (``via``; the start has none).
 
@@ -251,13 +252,12 @@ def backward_trace(graph: PropagationGraph, failure: int,
     walk = _walk(graph, failure, kinds, reverse=True)
     roots = tuple(node for node in walk.reached
                   if not _ROOT_ROLES.isdisjoint(graph.roles.get(node, ())))
-    return replace(walk, roots=roots)
+    return walk._replace(roots=roots)
 
 
 # -- topics ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TopicRecord:
+class TopicRecord(NamedTuple):
     topic: int
     members: tuple[int, ...]
     roots: tuple[int, ...]
@@ -305,8 +305,7 @@ def topic_report(model: Model, graph: PropagationGraph) -> list[TopicRecord]:
 
 # -- derived specifications -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpecSuggestion:
+class SpecSuggestion(NamedTuple):
     effect: int
     specification: int
     anchor: Optional[int]

@@ -214,8 +214,15 @@ def graph_node_labels(graph: PropagationGraph) -> dict[int, str]:
     segment longer on each collision.
 
     A label is what the qualified name holds after the qualified name of
-    an ancestor and its ``::``, so it is cut only between segments.
+    an ancestor and its ``::``, so it is cut only between segments. The
+    labels are computed once per graph and kept until it changes.
     """
+    if graph._labels is None:
+        graph._labels = _node_labels(graph)
+    return graph._labels
+
+
+def _node_labels(graph: PropagationGraph) -> dict[int, str]:
     elements = graph.model.elements
     #: node -> the ancestor whose qualified name its label leaves out
     cut = {eid: elements[eid].owner if elements[eid].qualified_name else None

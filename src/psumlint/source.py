@@ -11,10 +11,9 @@ the tree and the diagnostics keep, and every Span checks its bounds.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(eq=False)
 class SourceFile:
     """One model file: path, full text, and an index of line-start offsets.
 
@@ -22,26 +21,29 @@ class SourceFile:
     file; so spans, which hold their file, hash too.
     """
 
-    path: str
-    content: str
-    line_index: list[int] = field(default_factory=list)
+    __slots__ = ("path", "content", "line_index")
 
-    def __post_init__(self) -> None:
-        if not self.line_index:
-            index, find = [0], self.content.find
-            newline = find("\n")
-            while newline >= 0:
-                index.append(newline + 1)
-                newline = find("\n", newline + 1)
-            self.line_index = index
+    def __init__(self, path: str, content: str) -> None:
+        self.path = path
+        self.content = content
+        index, find = [0], content.find
+        newline = find("\n")
+        while newline >= 0:
+            index.append(newline + 1)
+            newline = find("\n", newline + 1)
+        self.line_index = index
 
     @classmethod
     def read(cls, path: str) -> "SourceFile":
         """The file at ``path``, decoded as UTF-8 without a leading byte-order
         mark, so offsets, lines and columns count from the first character
-        of the model text."""
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return cls(path=path, content=fh.read())
+        of the model text. Raises ``OSError`` for a file that cannot be read
+        or is not UTF-8."""
+        try:
+            with open(path, "r", encoding="utf-8-sig") as fh:
+                return cls(path, fh.read())
+        except UnicodeDecodeError as exc:
+            raise OSError(str(exc)) from exc
 
     def line_col(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) for a character offset."""
@@ -53,16 +55,20 @@ class SourceFile:
         return Span(self, start, end)
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """Half-open [start, end) character range within one file."""
-
+class _SpanFields(NamedTuple):
     file: SourceFile
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        assert 0 <= self.start <= self.end <= len(self.file.content)
+
+class Span(_SpanFields):
+    """Half-open [start, end) character range within one file."""
+
+    __slots__ = ()
+
+    def __new__(cls, file: SourceFile, start: int, end: int) -> "Span":
+        assert 0 <= start <= end <= len(file.content)
+        return tuple.__new__(cls, (file, start, end))
 
     @property
     def line(self) -> int:

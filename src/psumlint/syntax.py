@@ -13,10 +13,9 @@ tree is always returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -31,8 +30,7 @@ DEF_KEYWORDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class NamePath:
+class NamePath(NamedTuple):
     """A dotted or ``::``-qualified name path, e.g. ``acc.radars.radarBlocked``."""
 
     segments: tuple[str, ...]
@@ -46,15 +44,13 @@ class NamePath:
         return f"NamePath({self.text})"
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(NamedTuple):
     path: NamePath
     conjugated: bool = False
     multiplicity: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     """Initializer or body-property value: number (with unit), name, string."""
 
     kind: str  # "number" | "name" | "string" | "boolean"
@@ -65,15 +61,13 @@ class Value:
     string: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AnnotationEntry:
+class AnnotationEntry(NamedTuple):
     name: str
     codes: tuple[str, ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class AnnotationClause:
+class AnnotationClause(NamedTuple):
     entries: tuple[AnnotationEntry, ...]
     span: Span
     raw: bool = False  # set when the clause contained unparseable content
@@ -81,59 +75,57 @@ class AnnotationClause:
 
 # -- structural expressions -------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
+class Operand(NamedTuple):
     span: Span
-
-
-@dataclass(frozen=True)
-class Operand(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
-class Comparison(Expr):
+class Comparison(NamedTuple):
+    span: Span
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class BoolOp(Expr):
+class BoolOp(NamedTuple):
+    span: Span
     op: str  # "and" | "or"
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class NotOp(Expr):
+class NotOp(NamedTuple):
+    span: Span
     item: Expr
+
+
+Expr = Union[Operand, Comparison, BoolOp, NotOp]
 
 
 # -- syntax tree ------------------------------------------------------------
 
-@dataclass
 class AstNode:
     """Generic syntax node; ``kind`` selects which ``attrs`` are meaningful."""
 
-    kind: str
-    span: Span
-    attrs: dict = field(default_factory=dict)
-    children: list["AstNode"] = field(default_factory=list)
+    __slots__ = ("kind", "span", "attrs", "children")
+
+    def __init__(self, kind: str, span: Span, attrs: Optional[dict] = None) -> None:
+        self.kind = kind
+        self.span = span
+        self.attrs = {} if attrs is None else attrs
+        self.children: list[AstNode] = []
 
     def attr(self, name: str, default=None):
         return self.attrs.get(name, default)
 
 
-@dataclass(frozen=True)
-class SendClause:
+class SendClause(NamedTuple):
     signal: NamePath
     args: tuple[Expr, ...]
     via: Optional[NamePath] = None
     to: Optional[NamePath] = None
 
 
-@dataclass(frozen=True)
-class AcceptClause:
+class AcceptClause(NamedTuple):
     param_name: Optional[str] = None
     typing: Optional[TypeRef] = None
     payload: Optional[NamePath] = None

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import subprocess
 import sys
 
 import pytest
@@ -37,3 +38,17 @@ def test_pyproject_declares_no_dependencies():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_import_loads_no_slow_standard_modules():
+    # dataclasses pulls in inspect, ast and dis, and importlib.resources
+    # pulls in pathlib and zipfile: milliseconds at every start of the CLI.
+    # -S keeps site-packages, which may import them itself, out of the way.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import psumlint, psumlint.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'importlib.resources') "
+            "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-S", "-c", code,
+                             os.path.join(ROOT, "src")],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -25,7 +25,6 @@ and review the diff of all three files.
 """
 
 import contextlib
-import dataclasses
 import decimal
 import functools
 import hashlib
@@ -221,7 +220,7 @@ PARSE_SNIPPETS = (
 def _structure(value):
     """JSON form of a syntax-tree value: a node as [kind, [start, end],
     attrs as [name, value] pairs in insertion order, children]; any other
-    dataclass as [type name, [field, value] pairs]; a span as
+    record (a named tuple) as [type name, [field, value] pairs]; a span as
     [start, end]; a Decimal as its string."""
     return _converter(type(value))(value)
 
@@ -237,9 +236,9 @@ def _converter(kind: type):
                              [_structure(c) for c in node.children]]
     if issubclass(kind, Span):
         return lambda span: [span.start, span.end]
-    if dataclasses.is_dataclass(kind):
+    if issubclass(kind, tuple) and hasattr(kind, "_fields"):
         name = kind.__name__
-        names = tuple(f.name for f in dataclasses.fields(kind))
+        names = kind._fields
         return lambda value: [name, [[n, _structure(getattr(value, n))] for n in names]]
     if issubclass(kind, (list, tuple)):
         return lambda items: [_structure(v) for v in items]

@@ -1,9 +1,10 @@
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psumlint.api import analyze_sources, analyze_text
+from psumlint.api import analyze_files, analyze_sources, analyze_text
 from psumlint.model import (INHERITANCE_KINDS, EdgeKind, ElementKind,
                             MetaclassCategory, _Builder,
                             metaclass_category_of_kind, strongly_connected)
@@ -137,6 +138,35 @@ def test_unresolved_name_r001():
         codes = [d.code for d in analysis.model.diagnostics]
         assert codes == ["R001"], text
         assert analysis.model.edges == ()
+
+
+@pytest.mark.parametrize("text", [
+    "package P { part def D { part m; } part u : D :> m; }",
+    "package P { part def D { part m; } part u : D :>> m; }",
+    "package P { part def D { part m; part u0 : D; } part u : D :> u0.m; }",
+])
+def test_first_segment_is_found_among_inherited_members(text):
+    # u's own members include those of its type D, so a name's first
+    # segment is looked up there before the enclosing scopes
+    analysis = analyze_text(text)
+    assert analysis.findings == []
+    u, m = qn(analysis, "P::u"), qn(analysis, "P::D::m")
+    assert [e.target for e in analysis.model.edges
+            if e.source == u and e.kind is not EdgeKind.FEATURE_TYPING] == [m]
+
+
+def test_first_segment_not_inherited_without_a_type():
+    analysis = analyze_text("package P { part def D { part m; } part u :> m; }")
+    assert [d.code for d in analysis.model.diagnostics] == ["R001"]
+
+
+def test_unreadable_file_raises_os_error(tmp_path):
+    bad = tmp_path / "bad.sysml"
+    bad.write_bytes(b"package P { part a; }\n\xff\n")
+    with pytest.raises(OSError, match="can't decode byte 0xff"):
+        analyze_files([str(bad)])
+    with pytest.raises(OSError):
+        analyze_files([str(tmp_path / "missing.sysml")])
 
 
 def test_duplicate_sibling_r002():
