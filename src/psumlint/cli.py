@@ -182,10 +182,14 @@ def run(argv: list[str]) -> int:
     if args.command == "risks":
         risks = analysis.risks()
         roots: dict[int, list[int]] = {}
+        traced: dict[int, list[int]] = {}  # target -> its roots, traced once
         for risk in risks:
-            if analysis.graph.has_node(risk.target):
-                roots[risk.element] = list(
-                    backward_trace(analysis.graph, risk.target).roots)
+            target = risk.target
+            if analysis.graph.has_node(target):
+                if target not in traced:
+                    traced[target] = list(
+                        backward_trace(analysis.graph, target).roots)
+                roots[risk.element] = traced[target]
         sys.stdout.write(reporting.render_risks(risks, roots,
                                                 analysis.model, args.format))
         return _finding_exit(analysis)

@@ -59,19 +59,35 @@ class PropagationEdge(NamedTuple):
 
 
 class PropagationGraph:
-    __slots__ = ("model", "roles", "edges", "_index", "_adjacency", "_labels")
+    __slots__ = ("model", "roles", "_edges", "_index", "_grown", "_adjacency",
+                 "_labels")
 
     def __init__(self, model: Model) -> None:
         self.model = model
         self.roles: dict[int, set[NodeRole]] = {}
-        self.edges: list[PropagationEdge] = []
+        self._edges: list[PropagationEdge] = []
         #: (source, target, kind) -> position of that edge in ``edges``
         self._index: dict[tuple[int, int, PropagationEdgeKind], int] = {}
+        #: position -> all spans of an edge referenced again since ``edges``
+        #: was last read, which builds that edge again
+        self._grown: dict[int, list[Span]] = {}
         #: (kinds, reverse) -> adjacency, built on first use; see ``adjacency``
         self._adjacency: dict[tuple[frozenset, bool],
                               dict[int, list[tuple[int, PropagationEdge]]]] = {}
         #: node -> label, built on first use by ``reporting.graph_node_labels``
         self._labels: Optional[dict[int, str]] = None
+
+    @property
+    def edges(self) -> list[PropagationEdge]:
+        """Each edge once, in the order first added, with the spans of every
+        reference to it as its provenance."""
+        if self._grown:
+            for position, spans in self._grown.items():
+                source, target, kind, _ = self._edges[position]
+                self._edges[position] = PropagationEdge(source, target, kind,
+                                                        tuple(spans))
+            self._grown.clear()
+        return self._edges
 
     def nodes(self) -> list[int]:
         return sorted(self.roles)
@@ -86,19 +102,25 @@ class PropagationGraph:
 
     def add_edge(self, source: int, target: int, kind: PropagationEdgeKind,
                  span: Optional[Span]) -> None:
-        """Add an edge, or append ``span`` to the provenance of the same one."""
+        """Add an edge, or append ``span`` to the provenance of the same one.
+
+        Amortized O(1): a repeated edge's spans gather in a list, and the
+        edge is built again once, when ``edges`` is next read.
+        """
         self._adjacency.clear()
         self._labels = None
-        spans = (span,) if span is not None else ()
         key = (source, target, kind)
         position = self._index.get(key)
         if position is None:
-            position = self._index[key] = len(self.edges)
-            self.edges.append(PropagationEdge(source, target, kind, spans))
-        elif spans:
-            edge = self.edges[position]
-            self.edges[position] = PropagationEdge(
-                source, target, kind, edge.provenance + spans)
+            self._index[key] = len(self._edges)
+            self._edges.append(PropagationEdge(
+                source, target, kind, () if span is None else (span,)))
+        elif span is not None:
+            spans = self._grown.get(position)
+            if spans is None:
+                spans = self._grown[position] = list(
+                    self._edges[position].provenance)
+            spans.append(span)
 
     def adjacency(self, kinds: frozenset, reverse: bool
                   ) -> dict[int, list[tuple[int, PropagationEdge]]]:

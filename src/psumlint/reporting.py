@@ -10,8 +10,8 @@ references, never as new introductions.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii as _quote
 
 from .diagnostics import Diagnostic
 from .inheritance import EffectiveMap
@@ -121,7 +121,58 @@ class RenderError(ValueError):
 
 
 def render_json(payload: dict | list) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder, which
+    holds every token of the document in one list before it joins them.
+    Here each dict and list is one string joined from its children's, so
+    the peak is about twice the output.
+    """
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as JSON whose nested lines start with ``newline`` + 2 spaces."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ("," + inner).join([_json(item, inner) for item in value])
+        return f"[{inner}{items}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ("," + inner).join([f"{_key(key)}: {_json(item, inner)}"
+                                    for key, item in value.items()])
+        return f"{{{inner}{items}{newline}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+#: how JSON writes the floats whose ``repr`` is not a JSON number
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return f'"{_json(key, "")}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def render_diagnostics(diags: list[Diagnostic], fmt: str,
@@ -400,10 +451,13 @@ def render_suggestions(suggestions: list[SpecSuggestion], model: Model,
 
 def render_trace(result: TraceResult, graph: PropagationGraph,
                  fmt: str) -> str:
+    """A trace, linear in what it reaches: each reached node with the edge
+    by which the walk first reached it (its ``via``), never its whole path;
+    a reader follows ``via`` back to the start."""
     model = graph.model
     labels = graph_node_labels(graph)
     start = result.start
-    reached = [n for n in result.reached if n != start]
+    reached = result.reached[1:]
     if fmt == "dot":
         # a reached node's path ends in its ``via`` edge, after the paths
         # of the nodes reached before it; so each path edge, once, in order
@@ -417,34 +471,40 @@ def render_trace(result: TraceResult, graph: PropagationGraph,
                 f"label=\"{edge.kind.value}\"];")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def describe(node: int) -> dict:
-        path = result.path(node)
-        hops = [start]
-        for edge in path:
-            hops.append(edge.target if edge.source == hops[-1] else edge.source)
-        return {
+    if fmt == "text":
+        lines = [f"from {model.elements[start].display_name()}:"]
+        for node in reached:
+            edge = result.via[node]
+            # forward, a node is its via edge's target; backward, its source
+            if edge.target == node:
+                peer = f"from {labels[edge.source]}"
+            else:
+                peer = f"to {labels[edge.target]}"
+            lines.append(f"  {model.elements[node].display_name()}  "
+                         f"({edge.kind.value} {peer})")
+        if result.roots is not None:
+            lines.append("roots: " + (", ".join(
+                model.elements[r].display_name() for r in result.roots)
+                or "(none)"))
+        return "\n".join(lines) + "\n"
+    if fmt != "json":
+        raise RenderError(f"traces cannot be rendered as {fmt!r}")
+    # the walk reaches a node after the node it was reached from
+    depth = {start: 0}
+    entries = []
+    for node in reached:
+        edge = result.via[node]
+        depth[node] = 1 + depth[
+            edge.source if edge.target == node else edge.target]
+        entries.append({
             "element": model.elements[node].display_name(),
-            "hops": [labels[n] for n in hops],
-            "path": [{"from": labels[e.source], "to": labels[e.target],
-                      "kind": e.kind.value} for e in path],
-        }
-
-    payload = {
-        "start": model.elements[start].display_name(),
-        "reached": [describe(node) for node in reached],
-    }
+            "depth": depth[node],
+            "via": {"from": labels[edge.source], "to": labels[edge.target],
+                    "kind": edge.kind.value},
+        })
+    payload = {"start": model.elements[start].display_name(),
+               "reached": entries}
     if result.roots is not None:
         payload["roots"] = [model.elements[r].display_name()
                             for r in result.roots]
-    if fmt == "json":
-        return render_json(payload)
-    if fmt != "text":
-        raise RenderError(f"traces cannot be rendered as {fmt!r}")
-    lines = [f"from {payload['start']}:"]
-    for entry in payload["reached"]:
-        lines.append(f"  {entry['element']}  ({' -> '.join(entry['hops'])})")
-    if "roots" in payload:
-        lines.append("roots: " + (", ".join(payload["roots"]) or "(none)"))
-    return "\n".join(lines) + "\n"
-
+    return render_json(payload)

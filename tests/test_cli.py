@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from psumlint import profile
+from psumlint import cli, profile
 from psumlint.api import analyze_text
 from psumlint.cli import run
 from psumlint.propagation import backward_trace, forward_trace
+from psumlint.reporting import render_risks
 
 from conftest import ALL_FIXTURES, CLEAN_FIXTURES, fixture_path, fixture_text
 
@@ -129,11 +130,13 @@ def test_quoted_name_with_a_dot_is_addressable(tmp_path, capsys):
     assert {n["qualified_name"] for n in json.loads(out)["nodes"]} == \
         {"P::'c.d'", "P::a b"}
     code, out, err = invoke(capsys, "propagate", str(model), "--to", "P::'c.d'")
-    assert (code, out, err) == (0, "from P::'c.d':\n  P::a b  ('c.d' -> a b)\n"
+    assert (code, out, err) == (0, "from P::'c.d':\n"
+                                   "  P::a b  (Propagates to 'c.d')\n"
                                    "roots: (none)\n", "")
     for name in ("P::a b", " P :: 'a b' ", "`P'::'a b'"):
         code, out, _ = invoke(capsys, "propagate", str(model), "--from", name)
-        assert (code, out) == (0, "from P::a b:\n  P::'c.d'  (a b -> 'c.d')\n")
+        assert (code, out) == (0, "from P::a b:\n"
+                                  "  P::'c.d'  (Propagates from a b)\n")
     # unquoted, the dot starts a feature chain: member d of P::c
     code, _, err = invoke(capsys, "propagate", str(model), "--from", "P::c.d")
     assert code == 3
@@ -182,7 +185,7 @@ def test_graph_qualified_names_read_back_in_propagate(tmp_path, capsys):
         code, out, err = invoke(capsys, "propagate", str(model), "--from", name)
         assert (code, err) == (0, "") and out.startswith(f"from {name}:\n")
     code, out, _ = invoke(capsys, "propagate", str(model), "--from", "P::'x::y'")
-    assert out == "from P::'x::y':\n  P::x::y  ('x::y' -> y)\n"
+    assert out == "from P::'x::y':\n  P::x::y  (Propagates from 'x::y')\n"
 
 
 @pytest.mark.parametrize("name", [
@@ -203,8 +206,12 @@ def test_propagate_forward_effects_only(capsys):
         "--from", "Configuration::producer::producerBehavior::publish",
         "--effects-only")
     assert code == 0
-    assert "delivery" in out
-    assert "publish -> delivering -> delivery" in out
+    assert out == (
+        "from Configuration::producer::producerBehavior::publish:\n"
+        "  Configuration::server::serverBehavior::delivering"
+        "  (Propagates from publish)\n"
+        "  Configuration::consumer::consumerBehavior::delivery"
+        "  (Propagates from delivering)\n")
 
 
 def test_propagate_backward(capsys):
@@ -308,6 +315,45 @@ def test_risks_collects_risks_once_per_consumer(capsys, monkeypatch):
         report()
     assert analysis.findings == [] and analysis.graph.edges
     assert len(calls) == 1
+
+
+def test_risks_trace_each_target_once(tmp_path, capsys, monkeypatch):
+    text = ("package P {\n"
+            "  «IndeterminacySource<nd>» part def S {\n"
+            "    «IndeterminacySpecification» constraint c { true }\n"
+            "  }\n"
+            "  part s : S;\n"
+            "  «Uncertainty<ocr, epi, subj>» part a {\n"
+            "    «IndeterminacySpecification» ref ::> s.c;\n"
+            "    metadata r1 defined by RiskMetadata::Risk "
+            "{ impact = RiskMetadata::LevelEnum::high; }\n"
+            "    metadata r2 defined by RiskMetadata::Risk "
+            "{ impact = RiskMetadata::LevelEnum::low; }\n"
+            "  }\n"
+            "}\n")
+    model = tmp_path / "risks.sysml"
+    model.write_text(text, encoding="utf-8")
+    # the output a backward trace per risk gives
+    analysis = analyze_text(text)
+    risks = analysis.risks()
+    target = risks[0].target
+    assert [risk.target for risk in risks] == [target, target]
+    roots = {risk.element: list(backward_trace(analysis.graph, target).roots)
+             for risk in risks}
+    calls = []
+
+    def counting(graph, failure, effects_only=False):
+        calls.append(failure)
+        return backward_trace(graph, failure, effects_only)
+
+    monkeypatch.setattr(cli, "backward_trace", counting)
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, _ = invoke(capsys, "risks", "--format", fmt, str(model))
+        assert code == 0
+        assert out == render_risks(risks, roots, analysis.model, fmt)
+        assert calls == [target]
+    assert out.count('"P::S::c"') == 2
 
 
 def test_graph_dot_default(capsys):

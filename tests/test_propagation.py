@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psumlint import propagation
 from psumlint.api import analyze_text
 from psumlint.model import strongly_connected
 from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
@@ -164,26 +165,49 @@ def _effect_chain(length, ring):
     return analyze_text("package P {\n" + "\n".join(parts) + "\n}\n")
 
 
-def _trace_and_render_both_ways(analysis, first, last):
-    """Trace from ``first`` and to ``last`` and render both traces, where
-    each reached node's path is one edge longer than the one before it.
+#: bytes per reached node that a rendered trace stays under
+TRACE_TEXT_BYTES, TRACE_JSON_BYTES = 64, 256
 
-    ``dot`` renders in full. ``text`` and ``json`` print a path per reached
-    node, so they grow with the square of the chain (71 MB of JSON at 1,100
-    nodes); they render the start and the last node, which has the longest
-    path. Returns the forward and the backward trace.
+
+def _trace_and_render_both_ways(analysis, first, last):
+    """Trace from ``first`` and to ``last`` and render both traces in full,
+    where each reached node is one edge deeper than the one before it.
+
+    Every format stays under a byte bound linear in the nodes reached (a
+    path per node would grow with the square of the chain: 71 MB of JSON
+    at 1,100 nodes). Following the JSON ``via`` edges back from the
+    deepest node reaches the start. Returns the forward and the backward
+    trace.
     """
     graph = analysis.graph
+    labels = graph_node_labels(graph)
     forward = forward_trace(graph, first)
     backward = backward_trace(graph, last)
     for result in (forward, backward):
-        depth = len(result.reached) - 1
-        assert render_trace(result, graph, "dot").count(" -> ") == depth
-        deepest = result._replace(reached=(result.start, result.reached[-1]))
-        text = render_trace(deepest, graph, "text")
-        assert text.count(" -> ") == depth
-        payload = json.loads(render_trace(deepest, graph, "json"))
-        assert len(payload["reached"][0]["path"]) == depth
+        count = len(result.reached) - 1
+        assert render_trace(result, graph, "dot").count(" -> ") == count
+        text = render_trace(result, graph, "text")
+        assert len(text) < TRACE_TEXT_BYTES * (count + 2)
+        assert len(text.splitlines()) == count + 1 + (backward is result)
+        rendered = render_trace(result, graph, "json")
+        assert len(rendered) < TRACE_JSON_BYTES * (count + 2)
+        entries = json.loads(rendered)["reached"]
+        assert [entry["depth"] for entry in entries] == \
+            list(range(1, count + 1))
+        reached_by = {}
+        for node, entry in zip(result.reached[1:], entries):
+            edge = result.via[node]
+            assert entry["via"] == {"from": labels[edge.source],
+                                    "to": labels[edge.target],
+                                    "kind": edge.kind.value}
+            reached_by[labels[node]] = entry["via"]
+        # back along via: the edge's source forward, its target backward
+        hop = "from" if result is forward else "to"
+        cursor, hops = labels[result.reached[-1]], 0
+        while cursor != labels[result.start]:
+            cursor = reached_by[cursor][hop]
+            hops += 1
+        assert hops == count
     return forward, backward
 
 
@@ -547,3 +571,40 @@ def test_repeated_reference_merges_provenance_into_one_edge():
     assert [span.line for span in causes[0].provenance] == [7, 8]
     assert graph.adjacency(TRACE_KINDS, False)[c] == [(u, causes[0])]
     assert graph.adjacency(TRACE_KINDS, True)[u] == [(c, causes[0])]
+
+
+def test_repeated_references_build_their_edge_a_bounded_number_of_times(
+        monkeypatch):
+    # merging each reference into a new edge costs Θ(k²) for k references
+    count = 300
+    analysis = analyze_text(
+        "package P {\n"
+        "    «IndeterminacySource<nd>» part def S {\n"
+        "        «IndeterminacySpecification» constraint c { true }\n"
+        "    }\n"
+        "    part s : S;\n"
+        "    «Uncertainty<ocr, epi, subj>» part u {\n"
+        + "        «IndeterminacySpecification» ref ::> s.c;\n" * count
+        + "    }\n"
+        "}\n")
+    built = []
+    edge_type = propagation.PropagationEdge
+
+    def counting(*fields):
+        built.append(fields)
+        return edge_type(*fields)
+
+    monkeypatch.setattr(propagation, "PropagationEdge", counting)
+    graph = analysis.graph
+    c, u = rq(analysis, "P::S::c"), rq(analysis, "P::u")
+    causes = [e for e in graph.edges
+              if (e.source, e.target, e.kind)
+              == (c, u, PropagationEdgeKind.CAUSES)]
+    assert [span.line for span in causes[0].provenance] == \
+        list(range(7, 7 + count))
+    assert len(built) <= 2 * len(graph.edges)
+    # a reference after a read adds to the spans read so far, in place
+    position = graph.edges.index(causes[0])
+    graph.add_edge(c, u, PropagationEdgeKind.CAUSES, causes[0].provenance[0])
+    assert graph.edges[position].provenance == \
+        causes[0].provenance + causes[0].provenance[:1]
