@@ -336,8 +336,9 @@ def test_render_json_rejects_what_json_dumps_rejects(payload):
 
 
 def test_graph_json_render_memory_is_linear_in_its_output():
-    # json.dumps(indent=2) holds every token of the document in one list:
-    # a peak of about 8x the output on this model, against under 4x here
+    # json.dumps(indent=2) holds every token of the document in one list,
+    # a peak of 9.2x the output on this model (Python 3.11); one string per
+    # container peaks at 3.9x, of which the dicts render_graph builds are 1.9x
     count = 400
     specs = " ".join(f"«IndeterminacySpecification» constraint c{j} {{ true }}"
                      for j in range(10))
