@@ -132,7 +132,7 @@ def render_json(payload: dict | list) -> str:
 
 
 def _json(value, newline: str) -> str:
-    """``value`` as JSON whose nested lines start with ``newline`` + 2 spaces."""
+    """``value`` as JSON, each nested line starting ``newline`` + 2 spaces."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
