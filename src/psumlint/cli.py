@@ -107,10 +107,8 @@ def _finding_exit(analysis: Analysis) -> int:
 
 def _guard_analysis(analysis: Analysis) -> Optional[int]:
     """Analysis subcommands refuse to run over unparsable/unresolved input."""
-    if parse_or_resolution_errors(analysis.findings):
-        errors = [d for d in analysis.findings
-                  if d.code.startswith(("P", "R"))
-                  and d.severity is Severity.ERROR]
+    errors = parse_or_resolution_errors(analysis.findings)
+    if errors:
         sys.stderr.write(reporting.render_diagnostics(errors, "text"))
         return EXIT_PARSE
     return None

@@ -353,10 +353,6 @@ class _Unresolved(Exception):
     started resolving; the argument is that element."""
 
 
-def metaclass_category_of_kind(kind: ElementKind) -> MetaclassCategory:
-    return _CATEGORY_BY_KIND[kind]
-
-
 def strongly_connected(successors: Mapping[int, Iterable[int]]) -> dict[int, int]:
     """Tarjan's strongly connected components, with an explicit stack.
 

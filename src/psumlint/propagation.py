@@ -59,68 +59,31 @@ class PropagationEdge(NamedTuple):
 
 
 class PropagationGraph:
-    __slots__ = ("model", "roles", "_edges", "_index", "_grown", "_adjacency",
-                 "_labels")
+    """The propagation graph of a model, as ``build_propagation_graph``
+    makes it: each node's roles, and each edge once. Nothing changes a
+    graph once it is made, so what is derived from it is kept."""
 
-    def __init__(self, model: Model) -> None:
+    __slots__ = ("model", "roles", "edges", "_nodes", "_adjacency", "_labels")
+
+    def __init__(self, model: Model, roles: dict[int, set[NodeRole]],
+                 edges: list[PropagationEdge]) -> None:
         self.model = model
-        self.roles: dict[int, set[NodeRole]] = {}
-        self._edges: list[PropagationEdge] = []
-        #: (source, target, kind) -> position of that edge in ``edges``
-        self._index: dict[tuple[int, int, PropagationEdgeKind], int] = {}
-        #: position -> all spans of an edge referenced again since ``edges``
-        #: was last read, which builds that edge again
-        self._grown: dict[int, list[Span]] = {}
+        self.roles = roles
+        #: each edge once, in the order first referenced, with the spans of
+        #: every reference to it as its provenance
+        self.edges = edges
+        self._nodes = sorted(roles)
         #: (kinds, reverse) -> adjacency, built on first use; see ``adjacency``
         self._adjacency: dict[tuple[frozenset, bool],
                               dict[int, list[tuple[int, PropagationEdge]]]] = {}
         #: node -> label, built on first use by ``reporting.graph_node_labels``
         self._labels: Optional[dict[int, str]] = None
 
-    @property
-    def edges(self) -> list[PropagationEdge]:
-        """Each edge once, in the order first added, with the spans of every
-        reference to it as its provenance."""
-        if self._grown:
-            for position, spans in self._grown.items():
-                source, target, kind, _ = self._edges[position]
-                self._edges[position] = PropagationEdge(source, target, kind,
-                                                        tuple(spans))
-            self._grown.clear()
-        return self._edges
-
     def nodes(self) -> list[int]:
-        return sorted(self.roles)
+        return self._nodes
 
     def has_node(self, eid: int) -> bool:
         return eid in self.roles
-
-    def add_role(self, eid: int, role: NodeRole) -> None:
-        self.roles.setdefault(eid, set()).add(role)
-        self._adjacency.clear()
-        self._labels = None
-
-    def add_edge(self, source: int, target: int, kind: PropagationEdgeKind,
-                 span: Optional[Span]) -> None:
-        """Add an edge, or append ``span`` to the provenance of the same one.
-
-        Amortized O(1): a repeated edge's spans gather in a list, and the
-        edge is built again once, when ``edges`` is next read.
-        """
-        self._adjacency.clear()
-        self._labels = None
-        key = (source, target, kind)
-        position = self._index.get(key)
-        if position is None:
-            self._index[key] = len(self._edges)
-            self._edges.append(PropagationEdge(
-                source, target, kind, () if span is None else (span,)))
-        elif span is not None:
-            spans = self._grown.get(position)
-            if spans is None:
-                spans = self._grown[position] = list(
-                    self._edges[position].provenance)
-            spans.append(span)
 
     def adjacency(self, kinds: frozenset, reverse: bool
                   ) -> dict[int, list[tuple[int, PropagationEdge]]]:
@@ -129,7 +92,7 @@ class PropagationGraph:
         A peer is an edge's target, or its source when ``reverse``. Pairs
         are sorted by peer, ties in edge order. Risks are sinks, so
         forward adjacency has no entry for them. Built on first use, in one
-        pass over ``edges``, and kept until the graph changes.
+        pass over ``edges``, and kept.
         """
         key = (kinds, reverse)
         table = self._adjacency.get(key)
@@ -155,7 +118,17 @@ class TraceStartError(ValueError):
 
 def build_propagation_graph(model: Model,
                             effective: EffectiveMap) -> PropagationGraph:
-    graph = PropagationGraph(model=model)
+    roles: dict[int, set[NodeRole]] = {}
+    #: (source, target, kind) -> the span of each reference to that edge;
+    #: a repeated reference merges into the edge it names
+    references: dict[tuple[int, int, PropagationEdgeKind], list[Span]] = {}
+
+    def add_role(eid: int, role: NodeRole) -> None:
+        roles.setdefault(eid, set()).add(role)
+
+    def add_edge(source: int, target: int, kind: PropagationEdgeKind,
+                 span: Span) -> None:
+        references.setdefault((source, target, kind), []).append(span)
 
     uncertain_elements: list[int] = []
     for element in model.elements:
@@ -163,55 +136,57 @@ def build_propagation_graph(model: Model,
             continue
         eid = element.id
         if has_effective(effective, eid, INDETERMINACY_SOURCE):
-            graph.add_role(eid, NodeRole.SOURCE)
+            add_role(eid, NodeRole.SOURCE)
         if has_effective(effective, eid, INDETERMINACY_SPECIFICATION):
-            graph.add_role(eid, NodeRole.SPECIFICATION)
+            add_role(eid, NodeRole.SPECIFICATION)
         if has_effective(effective, eid, UNCERTAINTY, EFFECT):
             # an effect is also an uncertainty node
-            graph.add_role(eid, NodeRole.UNCERTAINTY)
+            add_role(eid, NodeRole.UNCERTAINTY)
             uncertain_elements.append(eid)
         if has_effective(effective, eid, EFFECT):
-            graph.add_role(eid, NodeRole.EFFECT)
+            add_role(eid, NodeRole.EFFECT)
         if any(app.stereotype == UNCERTAINTY_TOPIC
                for app in element.annotations):
             # inherited topic-ness (e.g. a payload typed by a topic item
             # definition) groups nothing, so only declared topics are nodes
-            graph.add_role(eid, NodeRole.TOPIC)
+            add_role(eid, NodeRole.TOPIC)
 
-    for eid, roles in list(graph.roles.items()):
-        if NodeRole.SOURCE in roles:
+    for eid, node_roles in list(roles.items()):
+        if NodeRole.SOURCE in node_roles:
             for spec in effective.specifications(eid):
-                graph.add_role(spec, NodeRole.SPECIFICATION)
-                graph.add_edge(eid, spec, PropagationEdgeKind.SPECIFIES,
-                               model.elements[spec].span)
+                add_role(spec, NodeRole.SPECIFICATION)
+                add_edge(eid, spec, PropagationEdgeKind.SPECIFIES,
+                         model.elements[spec].span)
 
     for eid in uncertain_elements:
         for app in effective.references(eid):
             for ref in app.spec_refs:
                 if has_effective(effective, ref.target,
                                  INDETERMINACY_SPECIFICATION):
-                    graph.add_role(ref.target, NodeRole.SPECIFICATION)
-                    graph.add_edge(ref.target, eid, PropagationEdgeKind.CAUSES,
-                                   ref.span)
+                    add_role(ref.target, NodeRole.SPECIFICATION)
+                    add_edge(ref.target, eid, PropagationEdgeKind.CAUSES,
+                             ref.span)
             for ref in app.effect_refs:
                 if has_effective(effective, ref.target, UNCERTAINTY, EFFECT):
-                    graph.add_edge(eid, ref.target,
-                                   PropagationEdgeKind.PROPAGATES, ref.span)
+                    add_edge(eid, ref.target, PropagationEdgeKind.PROPAGATES,
+                             ref.span)
 
     for element in model.elements:
         for app in element.annotations:
             if app.stereotype == UNCERTAINTY_TOPIC:
                 for ref in app.uncertainty_refs:
                     if has_effective(effective, ref.target, UNCERTAINTY, EFFECT):
-                        graph.add_edge(element.id, ref.target,
-                                       PropagationEdgeKind.GROUPS, ref.span)
+                        add_edge(element.id, ref.target,
+                                 PropagationEdgeKind.GROUPS, ref.span)
 
     for risk in model.risks:
-        if graph.has_node(risk.target):
-            graph.add_role(risk.element, NodeRole.RISK)
-            graph.add_edge(risk.target, risk.element,
-                           PropagationEdgeKind.INCURS, risk.span)
-    return graph
+        if risk.target in roles:
+            add_role(risk.element, NodeRole.RISK)
+            add_edge(risk.target, risk.element, PropagationEdgeKind.INCURS,
+                     risk.span)
+    edges = [PropagationEdge(source, target, kind, tuple(spans))
+             for (source, target, kind), spans in references.items()]
+    return PropagationGraph(model, roles, edges)
 
 
 # -- traces ---------------------------------------------------------------------

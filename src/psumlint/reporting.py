@@ -266,7 +266,7 @@ def graph_node_labels(graph: PropagationGraph) -> dict[int, str]:
 
     A label is what the qualified name holds after the qualified name of
     an ancestor and its ``::``, so it is cut only between segments. The
-    labels are computed once per graph and kept until it changes.
+    labels are computed once per graph and kept.
     """
     if graph._labels is None:
         graph._labels = _node_labels(graph)

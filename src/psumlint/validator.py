@@ -188,6 +188,8 @@ def has_errors(findings: list[Diagnostic]) -> bool:
     return any(d.severity is diagnostics.Severity.ERROR for d in findings)
 
 
-def parse_or_resolution_errors(findings: list[Diagnostic]) -> bool:
-    return any(d.code.startswith(("P", "R"))
-               and d.severity is diagnostics.Severity.ERROR for d in findings)
+def parse_or_resolution_errors(findings: list[Diagnostic]) -> list[Diagnostic]:
+    """The parse (P) and resolution (R) errors among ``findings``, which
+    block analysis."""
+    return [d for d in findings if d.code.startswith(("P", "R"))
+            and d.severity is diagnostics.Severity.ERROR]

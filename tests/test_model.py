@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psumlint.api import analyze_files, analyze_sources, analyze_text
-from psumlint.model import (INHERITANCE_KINDS, EdgeKind, ElementKind,
-                            MetaclassCategory, _Builder,
-                            metaclass_category_of_kind, strongly_connected)
+from psumlint.model import (_CATEGORY_BY_KIND, INHERITANCE_KINDS, EdgeKind,
+                            ElementKind, MetaclassCategory, _Builder,
+                            strongly_connected)
 
 from psumlint.source import SourceFile
 
@@ -121,13 +121,12 @@ def test_closure_transitivity_and_idempotence():
 
 def test_metaclass_category_total_and_examples():
     for kind in ElementKind:
-        assert isinstance(metaclass_category_of_kind(kind), MetaclassCategory)
-    assert metaclass_category_of_kind(ElementKind.TRANSITION_USAGE) is \
+        assert isinstance(_CATEGORY_BY_KIND[kind], MetaclassCategory)
+    assert _CATEGORY_BY_KIND[ElementKind.TRANSITION_USAGE] is \
         MetaclassCategory.OCCURRENCE_USAGE_LIKE
-    assert metaclass_category_of_kind(ElementKind.ATTRIBUTE_USAGE) is \
+    assert _CATEGORY_BY_KIND[ElementKind.ATTRIBUTE_USAGE] is \
         MetaclassCategory.ATTRIBUTE_USAGE
-    assert metaclass_category_of_kind(ElementKind.PACKAGE) is \
-        MetaclassCategory.OTHER
+    assert _CATEGORY_BY_KIND[ElementKind.PACKAGE] is MetaclassCategory.OTHER
 
 
 def test_unresolved_name_r001():

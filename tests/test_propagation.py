@@ -10,7 +10,8 @@ from psumlint import propagation
 from psumlint.api import analyze_text
 from psumlint.model import strongly_connected
 from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
-                                  PropagationEdgeKind, PropagationGraph,
+                                  PropagationEdge, PropagationEdgeKind,
+                                  PropagationGraph,
                                   SpecSuggestion, TRACE_KINDS,
                                   TraceStartError, backward_trace,
                                   forward_trace)
@@ -240,11 +241,10 @@ def test_trace_along_long_chain_holds_one_edge_per_node():
     # a witness tuple per reached node would hold n(n-1)/2 edge references
     # along an n-node chain: about 61 MiB at n = 4,000
     count = 4000
-    graph = PropagationGraph(model=None)
-    for node in range(count):
-        graph.add_role(node, NodeRole.UNCERTAINTY)
-    for node in range(count - 1):
-        graph.add_edge(node, node + 1, PropagationEdgeKind.PROPAGATES, None)
+    graph = PropagationGraph(
+        None, {node: {NodeRole.UNCERTAINTY} for node in range(count)},
+        [PropagationEdge(node, node + 1, PropagationEdgeKind.PROPAGATES)
+         for node in range(count - 1)])
     forward_trace(graph, 0)  # builds the adjacency outside the measurement
     tracemalloc.start()
     try:
@@ -305,71 +305,36 @@ def _assert_traces_match_oracle(graph):
                     _oracle_trace(graph, start, kinds, reverse)
 
 
-_OPERATION = st.one_of(
-    st.tuples(st.just("role"), _NODE, st.sampled_from(list(NodeRole))),
-    # a span offset merges provenance into an edge already present
-    st.tuples(st.just("edge"), _NODE, _NODE,
-              st.sampled_from(list(PropagationEdgeKind)),
-              st.none() | st.integers(0, 3)),
-)
+_ROLES = st.dictionaries(_NODE, st.sets(st.sampled_from(list(NodeRole)),
+                                         min_size=1))
+#: (source, target, kind) -> the span offsets of its references; a node
+#: without roles may still end an edge
+_REFERENCES = st.dictionaries(
+    st.tuples(_NODE, _NODE, st.sampled_from(list(PropagationEdgeKind))),
+    st.lists(st.integers(0, 3), max_size=3), max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_OPERATION, max_size=40), st.integers(0, 40))
-def test_traces_match_filter_and_sort_oracle(operations, traced_at):
+@given(_ROLES, _REFERENCES)
+def test_traces_match_filter_and_sort_oracle(roles, references):
     # parallel edges of several kinds, Groups edges, risks, self-loops and
-    # cycles all come up; tracing once midway fills the adjacency memo
-    # that the operations after it must invalidate
-    graph = PropagationGraph(model=None)
+    # cycles all come up
     source = SourceFile(path="<test>", content="abcd")
-    for step, operation in enumerate(operations):
-        if step == traced_at:
-            _assert_traces_match_oracle(graph)
-        if operation[0] == "role":
-            graph.add_role(operation[1], operation[2])
-        else:
-            _, node, peer, kind, offset = operation
-            span = None if offset is None else source.span(offset, offset + 1)
-            graph.add_edge(node, peer, kind, span)
-    _assert_traces_match_oracle(graph)
+    edges = [PropagationEdge(node, peer, kind,
+                             tuple(source.span(offset, offset + 1)
+                                   for offset in offsets))
+             for (node, peer, kind), offsets in references.items()]
+    _assert_traces_match_oracle(PropagationGraph(None, roles, edges))
 
 
-def test_adjacency_memo_follows_graph_changes():
-    def build():
-        graph = PropagationGraph(model=None)
-        for node in (1, 2, 3):
-            graph.add_role(node, NodeRole.UNCERTAINTY)
-        graph.add_edge(1, 2, PropagationEdgeKind.PROPAGATES, None)
-        return graph
-
-    def state(graph):
-        return graph.roles, graph.edges
-
-    graph, twin = build(), build()
-    assert forward_trace(graph, 1).reached == (1, 2)
-    assert state(graph) == state(twin)
-
-    graph.add_edge(2, 3, PropagationEdgeKind.PROPAGATES, None)
-    assert forward_trace(graph, 1).reached == (1, 2, 3)
-    assert backward_trace(graph, 3).reached == (3, 2, 1)
-
-    graph.add_role(2, NodeRole.RISK)
-    assert forward_trace(graph, 1).reached == (1, 2)
-    assert forward_trace(graph, 2).reached == (2,)
-    assert backward_trace(graph, 3).reached == (3, 2, 1)
-
-    twin.add_edge(2, 3, PropagationEdgeKind.PROPAGATES, None)
-    twin.add_role(2, NodeRole.RISK)
-    assert state(graph) == state(twin)
-
-    # the node labels are kept too, and follow a new node
+def test_node_labels_lengthen_on_collision_and_are_kept():
     model = analyze_text("package P { part a; part b { part a; } }").model
     a, ba = model.resolve_qualified("P::a"), model.resolve_qualified("P::b::a")
-    labeled = PropagationGraph(model=model)
-    labeled.add_role(a, NodeRole.UNCERTAINTY)
-    assert graph_node_labels(labeled) == {a: "a"}
-    labeled.add_role(ba, NodeRole.UNCERTAINTY)
-    assert graph_node_labels(labeled) == {a: "P::a", ba: "b::a"}
+    graph = PropagationGraph(
+        model, {a: {NodeRole.UNCERTAINTY}, ba: {NodeRole.UNCERTAINTY}}, [])
+    labels = graph_node_labels(graph)
+    assert labels == {a: "P::a", ba: "b::a"}
+    assert graph_node_labels(graph) is labels
 
 
 def test_empty_graph_has_no_cycles():
@@ -574,8 +539,7 @@ def test_repeated_reference_merges_provenance_into_one_edge():
     assert graph.adjacency(TRACE_KINDS, True)[u] == [(c, causes[0])]
 
 
-def test_repeated_references_build_their_edge_a_bounded_number_of_times(
-        monkeypatch):
+def test_repeated_references_build_their_edge_once(monkeypatch):
     # merging each reference into a new edge costs Θ(k²) for k references
     count = 300
     analysis = analyze_text(
@@ -603,9 +567,4 @@ def test_repeated_references_build_their_edge_a_bounded_number_of_times(
               == (c, u, PropagationEdgeKind.CAUSES)]
     assert [span.line for span in causes[0].provenance] == \
         list(range(7, 7 + count))
-    assert len(built) <= 2 * len(graph.edges)
-    # a reference after a read adds to the spans read so far, in place
-    position = graph.edges.index(causes[0])
-    graph.add_edge(c, u, PropagationEdgeKind.CAUSES, causes[0].provenance[0])
-    assert graph.edges[position].provenance == \
-        causes[0].provenance + causes[0].provenance[:1]
+    assert len(built) == len(graph.edges)
