@@ -1,9 +1,12 @@
 """Tokenizer for the textual model notation.
 
-One compiled master regular expression with a named group per token class
-matches one token at each position (the "writing a tokenizer" idiom of the
-``re`` module); the lexer dispatches on the name of the group that matched.
-Only the annotation state below is kept in Python.
+The lexer is a stream: it makes each token when the reader asks for the
+next one, so no stage holds the token list of a file unless it asks for
+one (``tokenize``). One compiled master regular expression with a named
+group per token class matches the whitespace before a token and the token
+itself, so each token costs one ``match`` call (the "writing a tokenizer"
+idiom of the ``re`` module); the lexer dispatches on the name of the group
+that matched. Only the annotation state below is kept in Python.
 
 The token stream is lossless: joining token texts with the skipped
 whitespace between them reproduces the input byte-for-byte. Comments are
@@ -13,7 +16,9 @@ A token is an immutable record of its kind, text, ``[start, end)``
 character offsets, decoded value and file; the lexer builds it as a plain
 tuple, with no ``Span``. The parser builds spans from token offsets only
 for what the syntax tree and the diagnostics keep, and ``Token.span``
-builds one on demand for other readers.
+builds one on demand for other readers. The tokens of one file share one
+string per identifier or keyword text, and so does the tree built from
+them.
 
 Annotation markers come in two equivalent spellings: the guillemets
 U+00AB/U+00BB and the ASCII fallback ``<<`` / ``>>``. Inside an annotation
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -63,14 +68,17 @@ KEYWORDS = frozenset({
     "and", "or", "not", "true", "false",
 })
 
-# Alternatives are tried in order, so longer operators come first. The
-# delimited forms match up to their closer or, unclosed, to the end of the
-# line (of the file for block comments); ``run`` tells the two apart.
-# ``angle`` is split statefully in ``run``: inside an annotation each ``<``
-# and ``>`` is its own token unless ``>>`` closes the annotation.
+# One match reads the whitespace before a token and the token. Alternatives
+# are tried in order, so longer operators come first; ``end`` matches only
+# after the last token. The delimited forms match up to their closer or,
+# unclosed, to the end of the line (of the file for block comments); the
+# lexer tells the two apart. ``angle`` is split statefully by the lexer:
+# inside an annotation each ``<`` and ``>`` is its own token unless ``>>``
+# closes the annotation.
 _TOKEN = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    [ \t\r\n]*
+  (?:
+    (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[;{}(),.])
   | (?P<op>::>|:>>|::|:>|==|=|:|&|~|\*)
   | (?P<angle><<|>>|[<>]=?)
@@ -83,6 +91,8 @@ _TOKEN = re.compile(r"""
   | (?P<quoted>[`'][^'\n]*'?)
   | (?P<bracket>\[[^\]\n]*\]?)
   | (?P<stray>[\s\S])
+  | (?P<end>\Z)
+  )
 """, re.VERBOSE)
 _MULTIPLICITY = re.compile(r"^(\*|\d+|\d+\.\.(\d+|\*))$")
 _SIMPLE = {"punct": TokenKind.PUNCTUATION, "op": TokenKind.OPERATOR,
@@ -109,9 +119,14 @@ class Token(NamedTuple):
 
 
 class Lexer:
+    """The tokens of one file, lexed as they are read; iterate over it once.
+
+    The lexical diagnostics collect in ``diagnostics`` as the tokens that
+    carry them are reached; all are there once the EOF token is.
+    """
+
     def __init__(self, source: SourceFile):
         self.source = source
-        self.tokens: list[Token] = []
         self.diagnostics: list[Diagnostic] = []
 
     def _diag(self, code: str, start: int, end: int, message: str) -> None:
@@ -125,90 +140,82 @@ class Lexer:
         self._diag(code, start, end, f"{what} is never closed")
         return text[start + 1:end]
 
-    def run(self) -> tuple[list[Token], list[Diagnostic]]:
+    def __iter__(self) -> Iterator[Token]:
         source = self.source
         text = source.content
-        n = len(text)
-        append = self.tokens.append
         match = _TOKEN.match
         new = tuple.__new__  # a Token without the keyword-argument __new__
         keyword, identifier = TokenKind.KEYWORD, TokenKind.IDENTIFIER
+        #: each identifier and keyword text, so that a file's tokens and
+        #: the tree built from them share one string per name
+        names: dict[str, str] = {}
         pos, in_annotation, angle_depth = 0, False, 0
-        while pos < n:
+        while True:
             m = match(text, pos)
-            group, end = m.lastgroup, m.end()
-            value = ""
-            if group == "ws":
-                newline = text.find("\n", pos, end) if in_annotation else -1
+            group = m.lastgroup
+            start, end = m.span(group)
+            if in_annotation and start > pos:
+                newline = text.find("\n", pos, start)
                 if newline >= 0:
                     # annotations do not span lines
                     self._diag("P005", newline, newline, "annotation not closed before end of line")
                     in_annotation, angle_depth = False, 0
-                pos = end
-                continue
             if group == "word":  # the most common token: its text is its value
-                value = text[pos:end]
-                append(new(Token, (keyword if value in KEYWORDS else identifier,
-                                   value, pos, end, value, source)))
+                value = text[start:end]
+                value = names.setdefault(value, value)
+                yield new(Token, (keyword if value in KEYWORDS else identifier,
+                                  value, start, end, value, source))
                 pos = end
                 continue
+            value = ""
             if group in _SIMPLE:
                 kind = _SIMPLE[group]
             elif group == "angle":
                 kind = TokenKind.OPERATOR
                 if in_annotation:
-                    if angle_depth == 0 and text.startswith(">>", pos):
+                    if angle_depth == 0 and text.startswith(">>", start):
                         kind, in_annotation = TokenKind.ANNOTATION_CLOSE, False
                     else:
-                        end = pos + 1
-                        angle_depth = angle_depth + 1 if text[pos] == "<" else max(0, angle_depth - 1)
-                elif text.startswith("<<", pos):
+                        end = start + 1
+                        angle_depth = angle_depth + 1 if text[start] == "<" else max(0, angle_depth - 1)
+                elif text.startswith("<<", start):
                     kind, in_annotation, angle_depth = TokenKind.ANNOTATION_OPEN, True, 0
-                elif text.startswith(">>", pos):
-                    end = pos + 1
+                elif text.startswith(">>", start):
+                    end = start + 1
             elif group == "number":
-                kind, value = TokenKind.NUMBER, text[pos:end]
+                kind, value = TokenKind.NUMBER, text[start:end]
             elif group == "open" or group == "close":
                 kind = TokenKind.ANNOTATION_OPEN if group == "open" else TokenKind.ANNOTATION_CLOSE
                 in_annotation, angle_depth = group == "open", 0
             elif group == "block":
                 kind = TokenKind.DOC_COMMENT
-                if not text.endswith("*/", pos + 2, end):
-                    self._diag("P004", pos, end, "block comment is never closed")
+                if not text.endswith("*/", start + 2, end):
+                    self._diag("P004", start, end, "block comment is never closed")
             elif group == "string":
-                kind, value = TokenKind.STRING, self._delimited(pos, end, '"', "P003", "string")
+                kind, value = TokenKind.STRING, self._delimited(start, end, '"', "P003", "string")
             elif group == "quoted":
                 kind = TokenKind.QUOTED_IDENTIFIER
-                value = self._delimited(pos, end, "'", "P006", "quoted name")
+                value = self._delimited(start, end, "'", "P006", "quoted name")
             elif group == "bracket":
-                inner = self._delimited(pos, end, "]", "P007", "bracket").strip()
+                inner = self._delimited(start, end, "]", "P007", "bracket").strip()
                 if text[end - 1] == "]" and _MULTIPLICITY.match(inner):
                     kind, value = TokenKind.MULTIPLICITY_BRACKET, inner
                 else:
                     kind, value = TokenKind.UNIT_BRACKET, inner.strip("`'\"").strip()
-            else:
-                self._diag("P008", pos, end, f"stray character {text[pos]!r}")
+            elif group == "stray":
+                self._diag("P008", start, end, f"stray character {text[start]!r}")
                 kind = TokenKind.PUNCTUATION
-            append(new(Token, (kind, text[pos:end], pos, end, value, source)))
+            else:  # the end of the text
+                if in_annotation:
+                    self._diag("P005", end, end, "annotation not closed before end of file")
+                yield Token(TokenKind.EOF, "", end, end, "", source)
+                return
+            yield new(Token, (kind, text[start:end], start, end, value, source))
             pos = end
-        if in_annotation:
-            self._diag("P005", n, n, "annotation not closed before end of file")
-        append(Token(TokenKind.EOF, "", n, n, "", source))
-        return self.tokens, self.diagnostics
 
 
 def tokenize(source: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
     """Full token list (ending with an EOF token) plus lexical diagnostics."""
-    return Lexer(source).run()
+    lexer = Lexer(source)
+    return list(lexer), lexer.diagnostics
 
-
-def reconstruct(source: SourceFile, tokens: list[Token]) -> str:
-    """Rebuild the input from the token stream plus inter-token gaps."""
-    parts = []
-    prev_end = 0
-    for tok in tokens:
-        parts.append(source.content[prev_end:tok.start])
-        parts.append(tok.text)
-        prev_end = tok.end
-    parts.append(source.content[prev_end:])
-    return "".join(parts)

@@ -691,7 +691,7 @@ class _Builder:
     # ---- finish ---------------------------------------------------------------
 
     def freeze(self) -> Model:
-        """Install the acyclic edge set."""
+        """Install the acyclic edge set; every element has started."""
         inherits: dict[int, list[SpecializationEdge]] = {}
         for edge in self.edges:
             if edge.kind in INHERITANCE_KINDS:
@@ -699,6 +699,8 @@ class _Builder:
         model = self.model
         model.edges = tuple(self.edges)
         model._inherits = {k: tuple(v) for k, v in inherits.items()}
+        # the emptied set keeps the table it grew to; a new one does not
+        model._unstarted = set()
         return model
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 from .diagnostics import Diagnostic
 from .inheritance import EffectiveMap
@@ -121,12 +122,14 @@ class RenderError(ValueError):
 
 
 def render_json(payload: dict | list) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, where a
+    generator is written as the list it yields.
 
     With an indent, ``json.dumps`` runs the pure-Python encoder, which
     holds every token of the document in one list before it joins them.
     Here each dict and list is one string joined from its children's, so
-    the peak is about twice the output.
+    the peak is about twice the output, plus the payload. A generator's
+    items are made as they are written and freed once they are.
     """
     return _json(payload, "\n") + "\n"
 
@@ -147,11 +150,12 @@ def _json(value, newline: str) -> str:
         text = float.__repr__(value)
         return _NON_FINITE.get(text, text)
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
+    if isinstance(value, (list, tuple, GeneratorType)):
+        # a generator is an array whose items are made as they are written
+        items = [_json(item, inner) for item in value]
+        if not items:
             return "[]"
-        items = ("," + inner).join([_json(item, inner) for item in value])
-        return f"[{inner}{items}{newline}]"
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -325,17 +329,17 @@ def render_graph(graph: PropagationGraph, fmt: str) -> str:
     labels = graph_node_labels(graph)
     if fmt == "json":
         model = graph.model
-        nodes = [{
+        nodes = ({
             "id": eid,
             "name": labels[eid],
             "qualified_name": model.elements[eid].qualified_name,
             "roles": sorted(role.value for role in graph.roles[eid]),
-        } for eid in graph.nodes()]
-        edges = [{
+        } for eid in graph.nodes())
+        edges = ({
             "from": labels[edge.source],
             "to": labels[edge.target],
             "kind": edge.kind.value,
-        } for edge in graph.edges]
+        } for edge in graph.edges)
         return render_json({"nodes": nodes, "edges": edges})
     if fmt != "dot":
         raise RenderError(f"graphs cannot be rendered as {fmt!r}")

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from decimal import Decimal
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import diagnostics
 from .diagnostics import Diagnostic
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Lexer, Token, TokenKind
 from .source import SourceFile, Span
 
 #: declaration keywords usable both bare (usages) and with ``def``
@@ -139,41 +139,56 @@ _TRIVIA_KINDS = (TokenKind.COMMENT, TokenKind.DOC_COMMENT)
 class _Cursor:
     """Token cursor that skips comment trivia, stashing it for attachment.
 
-    The significant tokens are split out once, with the comments lexed
-    before each one, so looking ahead and advancing are index arithmetic.
-    The EOF token is stored twice, so that looking past it needs no bounds
-    check.
+    It pulls tokens from the lexer's stream as the parser consumes them,
+    so a file's tokens are never held at once: the cursor keeps the
+    current token and, once ``lookahead`` has asked for it, the next one
+    with the comments lexed before it. At the EOF token it stays put.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = [tok for tok in tokens if tok.kind not in _TRIVIA_KINDS]
-        #: the comments before each significant token, by its index; the
-        #: comment at stream index i follows i - rank significant tokens
-        self.trivia_before: dict[int, list[Token]] = {}
-        comments = [i for i, tok in enumerate(tokens) if tok.kind in _TRIVIA_KINDS]
-        for rank, i in enumerate(comments):
-            self.trivia_before.setdefault(i - rank, []).append(tokens[i])
-        #: the index of the EOF token, where the cursor stops
-        self.last = len(self.tokens) - 1
-        self.tokens.append(self.tokens[-1])
-        self.index = 0
-        #: the current token, ``tokens[index]``
-        self.tok = self.tokens[0]
-        self.pending_trivia: list[Token] = list(self.trivia_before.get(0, ()))
+    def __init__(self, tokens: Iterator[Token]):
+        self._next = tokens.__next__
+        self.pending_trivia: list[Token] = []
+        #: the current token
+        self.tok = self._pull(self.pending_trivia)
+        #: the token after the current one once read, and the comments before it
+        self._ahead: Optional[Token] = None
+        self._ahead_trivia: list[Token] = []
+
+    def _pull(self, trivia: list[Token]) -> Token:
+        """The next significant token; the comments before it go to ``trivia``."""
+        tok = self._next()
+        while tok.kind in _TRIVIA_KINDS:
+            trivia.append(tok)
+            tok = self._next()
+        return tok
 
     def lookahead(self) -> Token:
         """The token after the current one."""
-        return self.tokens[self.index + 1]
+        if self._ahead is None:
+            if self.tok.kind is TokenKind.EOF:
+                return self.tok
+            self._ahead = self._pull(self._ahead_trivia)
+        return self._ahead
 
     def advance(self) -> Token:
-        """Consume one token; at the final EOF token the cursor stays put."""
+        """Consume one token; at the EOF token the cursor stays put."""
         tok = self.tok
-        index = self.index + 1
-        if index <= self.last:
-            self.index = index
-            self.tok = self.tokens[index]
-            if index in self.trivia_before:
-                self.pending_trivia.extend(self.trivia_before[index])
+        if self._ahead is None:
+            # ``_pull`` inlined: this runs once per token
+            pull, trivia = self._next, self.pending_trivia
+            try:
+                ahead = pull()
+                while ahead.kind in _TRIVIA_KINDS:
+                    trivia.append(ahead)
+                    ahead = pull()
+                self.tok = ahead
+            except StopIteration:  # past the EOF token, the end of the stream
+                pass
+        else:
+            self.tok, self._ahead = self._ahead, None
+            if self._ahead_trivia:
+                self.pending_trivia.extend(self._ahead_trivia)
+                self._ahead_trivia.clear()
         return tok
 
     def take_trivia(self) -> list[Token]:
@@ -196,9 +211,10 @@ _NAME_KINDS = (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER)
 class Parser:
     def __init__(self, source: SourceFile):
         self.source = source
-        tokens, lex_diags = tokenize(source)
-        self.cur = _Cursor(tokens)
-        self.diagnostics: list[Diagnostic] = list(lex_diags)
+        self.lexer = Lexer(source)
+        self.cur = _Cursor(iter(self.lexer))
+        #: the parse diagnostics; the lexer keeps the lexical ones
+        self.diagnostics: list[Diagnostic] = []
         #: open blocks plus open ``not``/``(`` levels: one budget for both
         self.depth = 0
         #: whether a block has reported the end of file; the blocks around
@@ -982,4 +998,5 @@ def parse_file(source: SourceFile) -> tuple[AstNode, list[Diagnostic]]:
     """Parse one file into a Root node; never raises on malformed input."""
     parser = Parser(source)
     root = parser.parse_file()
-    return root, parser.diagnostics
+    # the parse ends at the EOF token, after every lexical diagnostic
+    return root, parser.lexer.diagnostics + parser.diagnostics

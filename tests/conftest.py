@@ -21,6 +21,19 @@ def fixture_text(name: str) -> str:
         return fh.read()
 
 
+def reconstruct(source, tokens) -> str:
+    """Rebuild the input from the token stream plus inter-token gaps: the
+    oracle of lossless tokenization."""
+    parts = []
+    prev_end = 0
+    for tok in tokens:
+        parts.append(source.content[prev_end:tok.start])
+        parts.append(tok.text)
+        prev_end = tok.end
+    parts.append(source.content[prev_end:])
+    return "".join(parts)
+
+
 def specialization_model(defs, usages, decorations=None) -> str:
     """Package ``P`` of part defs ``D<i>`` and part usages ``u<j>``.
 

@@ -11,7 +11,7 @@ from decimal import Decimal
 
 from psumlint.api import analyze_text
 from psumlint.diagnostics import RULE_CATALOG, Severity
-from psumlint.lexer import reconstruct, tokenize
+from psumlint.lexer import tokenize
 from psumlint.profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
                               Provenance, StereotypeApplication,
                               apply_measurement_error, check_applicability)
@@ -22,7 +22,7 @@ from psumlint.source import SourceFile
 from psumlint.syntax import parse_file
 
 from conftest import (ALL_FIXTURES, CLEAN_FIXTURES, analyze_fixture,
-                      fixture_text)
+                      fixture_text, reconstruct)
 from test_profile import CATEGORY_REPRESENTATIVE, TABLE, element_of_category
 from test_propagation import brute_force_reachability
 from test_reporting import check as check_schema

@@ -3,10 +3,11 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psumlint.lexer import Token, TokenKind, reconstruct, tokenize
+from psumlint.lexer import Token, TokenKind, tokenize
 from psumlint.source import SourceFile
+from psumlint.syntax import parse_file
 
-from conftest import ALL_FIXTURES, fixture_text
+from conftest import ALL_FIXTURES, fixture_text, reconstruct
 
 
 def lex(text: str):
@@ -111,6 +112,18 @@ def test_unterminated_annotation_reports_and_recovers():
     assert any(d.code == "P005" for d in diags)
 
 
+def test_annotation_unclosed_in_whitespace_or_at_end_of_file():
+    # the newline may sit in the whitespace before the next token, or in
+    # trailing whitespace; only without one does the end of file report
+    _, diags = lex("«Uncertainty<ocr> \n part p;")
+    assert [(d.code, d.span.start, d.span.end) for d in diags] == [("P005", 18, 18)]
+    _, diags = lex("«Uncertainty \n\t")
+    assert [(d.code, d.span.start, d.span.end) for d in diags] == [("P005", 13, 13)]
+    _, diags = lex("«Uncertainty  ")
+    assert [(d.code, d.span.start, d.span.end, d.message) for d in diags] == [
+        ("P005", 14, 14, "annotation not closed before end of file")]
+
+
 def test_unterminated_block_comment():
     _, diags = lex("/* never closed")
     assert any(d.code == "P004" for d in diags)
@@ -188,3 +201,16 @@ def test_spans_hash_and_compare_by_file_identity():
     # and path is another file
     twin = SourceFile(path="x", content="abc")
     assert twin != source and twin.span(0, 1) != span
+
+
+def test_repeated_names_in_one_file_share_one_string():
+    tokens, _ = lex("part engine : Engine; part engine2 : Engine; part engine;")
+    texts = {}
+    for token in tokens:
+        assert texts.setdefault(token.text, token.text) is token.text
+    assert tokens[3].value is tokens[8].value and tokens[3].text == "Engine"
+    root, _ = parse_file(SourceFile(path="<t>", content="package P { part def Engine; "
+                                    "part a : Engine; part b : Engine; }"))
+    first, second = (usage.attr("typing").path.segments[0]
+                     for usage in root.children[0].children[1:])
+    assert first is second

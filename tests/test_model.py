@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import pytest
@@ -493,3 +494,11 @@ def test_forward_chain_resolves_in_linear_work():
     m = qn(analysis, f"P::D{depth}::m")
     assert [e.target for e in analysis.model.edges if e.source == u] == [m]
     assert edges.call_count < 10 * depth
+
+
+def test_built_model_keeps_no_unstarted_table():
+    # an emptied set keeps the table it grew to, for the model's lifetime
+    model = analyze_text(specialization_model(
+        [[i - 1] if i else [] for i in range(200)], [])).model
+    assert not model.diagnostics
+    assert sys.getsizeof(model._unstarted) == sys.getsizeof(set())

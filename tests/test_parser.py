@@ -1,3 +1,5 @@
+import tracemalloc
+
 from psumlint.source import SourceFile
 from psumlint.syntax import Parser, parse_file
 
@@ -251,3 +253,30 @@ def test_parser_asks_only_about_keyword_operator_or_punctuation_text():
         tokens, diags = tokenize(SourceFile(path="<t>", content=text))
         assert diags == [] and [t.text for t in tokens] == [text, ""], text
         assert tokens[0].kind in (TokenKind.OPERATOR, TokenKind.PUNCTUATION), text
+
+
+def generated_model(parts: int) -> str:
+    """A package of ``parts`` annotated usages, three statements each, with
+    a comment before each one."""
+    lines = ["package Generated {", "  part def Mass;"]
+    for i in range(parts):
+        lines.append(f"  // usage {i}")
+        lines.append(f"  «Uncertainty<ocr, epi, subj>» part unit{i} : Mass {{ "
+                     f"attribute mass{i} = {i}.5 ['kg']; "
+                     f"«Effect» ref ::> unit{i + 1}; }}")
+    return "\n".join(lines) + "\n}\n"
+
+
+def test_parse_peak_is_the_tree_it_keeps():
+    # a token list and its filtered copy, alive next to the tree, peaked at
+    # 2.1x the tree on this model; pulled from the lexer, tokens are freed
+    # as they are read
+    source = SourceFile(path="<generated>", content=generated_model(700))
+    tracemalloc.start()
+    try:
+        tree, diags = parse_file(source)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diags == [] and len(tree.children[0].children) == 701
+    assert peak <= 1.25 * retained, (peak, retained)
