@@ -59,10 +59,8 @@ class Analysis:
 def analyze_sources(sources: list[SourceFile],
                     catalog: Optional[ProfileCatalog] = None) -> Analysis:
     catalog = catalog or DEFAULT_CATALOG
-    parsed = []
-    for source in sources:
-        tree, diags = parse_file(source)
-        parsed.append((source, tree, diags))
+    # a generator: each tree is interned, then freed, before the next parse
+    parsed = ((source, *parse_file(source)) for source in sources)
     model = build_model(parsed, catalog=catalog)
     return Analysis(model=model, catalog=catalog)
 

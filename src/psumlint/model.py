@@ -2,7 +2,8 @@
 
 build_model turns parsed trees into an immutable model:
 
-* every declaration is interned as an Element with a dense id,
+* every declaration is interned as an Element with a dense id, keeping
+  what later steps read of its node (interning alone reads the tree),
 * specialization relationships (``specializes``, ``defined by``/``:``,
   ``:>``, ``:>>``/``redefines``, ``::>``, ``~T``) become SpecializationEdge
   records or R001 diagnostics,
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from . import diagnostics
 from .diagnostics import Diagnostic
 from .source import SourceFile, Span
-from .syntax import AstNode, NamePath, Value
+from .syntax import AnnotationClause, AstNode, NamePath, Value
 
 
 class ElementKind(enum.Enum):
@@ -161,18 +162,18 @@ class RefTarget(NamedTuple):
 class Element:
     """One node of the resolved model tree.
 
-    ``annotations`` (its StereotypeApplications) and ``is_reference_carrier``
-    (a ``ref`` usage that subsets or redefines) are set by
-    ``profile.annotate_model``; the builder fills the rest.
+    ``annotations`` (its StereotypeApplications) are set by
+    ``profile.annotate_model``; the builder fills the rest, among them
+    ``is_reference_carrier`` (a ``ref`` usage that subsets or redefines).
     """
 
     __slots__ = ("id", "kind", "name", "qualified_name", "owner", "span",
                  "owned", "annotations", "body_properties", "ref_targets",
-                 "about_target", "is_prelude", "is_reference_carrier", "ast")
+                 "about_target", "is_prelude", "is_reference_carrier")
 
     def __init__(self, id: int, kind: ElementKind, name: Optional[str],
                  qualified_name: Optional[str], owner: Optional[int], span: Span,
-                 ast: Optional[AstNode] = None, is_prelude: bool = False) -> None:
+                 is_prelude: bool = False) -> None:
         self.id = id
         self.kind = kind
         self.name = name
@@ -186,7 +187,6 @@ class Element:
         self.about_target: Optional[int] = None
         self.is_prelude = is_prelude
         self.is_reference_carrier = False
-        self.ast = ast
 
     def display_name(self) -> str:
         if self.qualified_name:
@@ -199,10 +199,11 @@ class Model:
 
     ``build_model`` creates it when interning ends and resolves through it.
     While relationships resolve, a closure search that reaches an element in
-    ``_unstarted`` raises ``_Unresolved`` so the builder resolves that
-    element first. ``freeze`` installs the edges that cycle removal kept, in
-    declaration order: by source element, each element's as written. Of
-    each specialization cycle the later-declared edge is dropped (R003).
+    ``_unstarted``, the table of pending relationships, raises
+    ``_Unresolved`` so the builder resolves that element first. ``freeze``
+    installs the edges that cycle removal kept, in declaration order: by
+    source element, each element's as written. Of each specialization cycle
+    the later-declared edge is dropped (R003).
     """
 
     __slots__ = ("files", "elements", "edges", "diagnostics", "roots",
@@ -230,8 +231,8 @@ class Model:
         #: element -> its edges of ``INHERITANCE_KINDS``, in edge order; grown
         #: as edges resolve, rebuilt by freeze
         self._inherits: dict[int, Sequence[SpecializationEdge]] = {}
-        #: elements whose relationships the builder has not started resolving
-        self._unstarted: set[int] = set()
+        #: element -> its relationships, the next one last, until started
+        self._unstarted: dict[int, list] = {}
 
     def inheritance_edges(self, eid: int) -> Sequence[SpecializationEdge]:
         """An element's edges of ``INHERITANCE_KINDS``, in edge order; two
@@ -419,13 +420,14 @@ class _Builder:
         self.imports: dict[int, list[tuple[NamePath, bool]]] = {}
         self.owned: dict[int, list[int]] = {}
         self.member_map: dict[int, dict[str, int]] = {}
+        self.unstarted: dict[int, list] = {}  # becomes Model._unstarted
+        self.clauses: list[tuple[Element, AnnotationClause]] = []
         self.model: Optional[Model] = None
 
     # ---- interning ----------------------------------------------------------
 
     def new_element(self, kind: ElementKind, name: Optional[str], owner: Optional[int],
-                    span: Span, ast: Optional[AstNode] = None,
-                    is_prelude: bool = False) -> int:
+                    span: Span, is_prelude: bool = False) -> int:
         eid = len(self.elements)
         qualified = None
         if name is not None:
@@ -434,7 +436,7 @@ class _Builder:
                 owner_qn = self.elements[owner].qualified_name
                 qualified = f"{owner_qn}::{qualified}" if owner_qn else None
         element = Element(id=eid, kind=kind, name=name, qualified_name=qualified,
-                          owner=owner, span=span, ast=ast, is_prelude=is_prelude)
+                          owner=owner, span=span, is_prelude=is_prelude)
         self.elements.append(element)
         self.owned[eid] = []
         self.member_map[eid] = {}
@@ -477,11 +479,13 @@ class _Builder:
         if kind is None:
             self.intern_non_element(node, owner)
             return None
-        eid = self.new_element(kind, node.attr("name"), owner, node.span, ast=node)
-        accept = node.attr("accept")
+        attrs = node.attrs
+        eid = self.new_element(kind, attrs.get("name"), owner, node.span)
+        self.keep(eid, attrs)
+        accept = attrs.get("accept")
         if accept is not None and accept.param_name:
-            self.new_element(ElementKind.ITEM_USAGE, accept.param_name, eid,
-                             node.span, ast=_accept_param_node(accept, node.span))
+            self.keep(self.new_element(ElementKind.ITEM_USAGE, accept.param_name,
+                                       eid, node.span), {"typing": accept.typing})
         for child in node.children:
             self.intern_node(child, eid)
         props = _collect_body_properties(node)
@@ -489,6 +493,20 @@ class _Builder:
             element = self.elements[eid]
             element.body_properties = tuple(props)
         return eid
+
+    def keep(self, eid: int, attrs: dict) -> None:
+        """Keep an element's relationships (if any), whether it is a
+        reference carrier, and its annotation clause."""
+        relationships = _relationships(attrs)
+        if relationships:
+            self.unstarted[eid] = relationships[::-1]
+        element = self.elements[eid]
+        element.is_reference_carrier = (
+            "ref" in (attrs.get("modifiers") or ())
+            and bool(attrs.get("refsubsets") or attrs.get("redefines")))
+        clause = attrs.get("annotation")
+        if clause is not None:
+            self.clauses.append((element, clause))
 
     def element_kind_for(self, node: AstNode) -> Optional[ElementKind]:
         if node.kind == "Package":
@@ -577,10 +595,10 @@ class _Builder:
         self.model.imports = {k: tuple(v) for k, v in resolved.items()}
 
     def resolve_relationships(self) -> None:
-        """Resolve every element's relationships, in declaration order.
-
-        A lookup that reaches an element whose relationships have not
-        started raises ``_Unresolved``. That element goes on an explicit
+        """Resolve the table of pending relationships that interning filled,
+        element by element in declaration order; starting an element pops
+        its entry. A lookup that reaches an element still in the table
+        raises ``_Unresolved``. That element goes on an explicit
         stack and is resolved first; then the interrupted relationship is
         retried. Lookups have no side effects before they return, so a
         retry is safe. Started elements stay visible with the edges they
@@ -590,9 +608,8 @@ class _Builder:
         The edges end sorted by source element.
         """
         model = self.model
-        model._unstarted.update(eid for eid, element in enumerate(self.elements)
-                                if element.ast is not None)
-        for eid in range(len(self.elements)):
+        model._unstarted = self.unstarted
+        for eid in list(model._unstarted):
             if eid not in model._unstarted:
                 continue
             stack = [self._start(eid)]
@@ -617,8 +634,7 @@ class _Builder:
     def _start(self, eid: int) -> tuple[int, list]:
         """Mark an element started; returns it and its relationships with
         the next one to resolve last."""
-        self.model._unstarted.discard(eid)
-        return eid, _relationships(self.elements[eid].ast)[::-1]
+        return eid, self.model._unstarted.pop(eid)
 
     def resolve_relationship(self, eid: int, path: NamePath,
                              kind: Optional[EdgeKind], conjugated: bool) -> None:
@@ -699,8 +715,8 @@ class _Builder:
         model = self.model
         model.edges = tuple(self.edges)
         model._inherits = {k: tuple(v) for k, v in inherits.items()}
-        # the emptied set keeps the table it grew to; a new one does not
-        model._unstarted = set()
+        # the emptied dict keeps the table it grew to; a new one does not
+        model._unstarted = {}
         return model
 
 
@@ -709,10 +725,9 @@ _PATH_RELATIONSHIPS = (("subsets", EdgeKind.SUBSETTING),
                        ("refsubsets", EdgeKind.REFERENCE_SUBSETTING))
 
 
-def _relationships(node: AstNode) -> list[tuple[NamePath, Optional[EdgeKind], bool]]:
-    """The names an element's node resolves, in resolution order, as (path,
-    edge kind, conjugated); the ``about`` target has no edge kind."""
-    attrs = node.attrs
+def _relationships(attrs: dict) -> list[tuple[NamePath, Optional[EdgeKind], bool]]:
+    """The names an element's node attributes resolve, in resolution order,
+    as (path, edge kind, conjugated); the ``about`` target has no edge kind."""
     todo = [(ref.path, EdgeKind.SUBCLASSIFICATION, False)
             for name in ("specializes", "specializes_list") for ref in attrs.get(name) or ()]
     typing = attrs.get("typing")
@@ -737,12 +752,6 @@ def _make_ref_target(ids: list[int], path: NamePath, relation: EdgeKind) -> RefT
     )
 
 
-def _accept_param_node(accept, span: Span) -> AstNode:
-    node = AstNode(kind="Usage", span=span, attrs={"keyword": "item"})
-    node.attrs["typing"] = accept.typing
-    return node
-
-
 def _collect_body_properties(node: AstNode) -> list[BodyProperty]:
     props: list[BodyProperty] = []
     for child in node.children:
@@ -763,11 +772,12 @@ def _body_property_from(node: AstNode) -> BodyProperty:
                         value=node.attr("value"), children=children)
 
 
-def build_model(parsed: list[tuple[SourceFile, AstNode, list[Diagnostic]]],
+def build_model(parsed: Iterable[tuple[SourceFile, AstNode, list[Diagnostic]]],
                 catalog=None) -> Model:
     """Assemble a resolved model from parsed files.
 
-    ``parsed`` holds (source, tree, parse diagnostics) triples; parse
+    ``parsed`` is any iterable of (source, tree, parse diagnostics); each
+    file is interned as it arrives and its tree is not kept. Parse
     diagnostics are carried into the model's diagnostic list. ``catalog``
     (default: the bundled profile catalog) supplies the prelude's risk
     levels and interprets the annotations.
@@ -781,10 +791,11 @@ def build_model(parsed: list[tuple[SourceFile, AstNode, list[Diagnostic]]],
         files.append(source)
         builder.diagnostics.extend(parse_diags)
         builder.intern_tree(tree)
+        del tree  # free it before the next file is parsed
     builder.start_model(files, catalog.risk_levels)
     builder.resolve_imports()
     builder.resolve_relationships()
     builder.remove_cycles()
     model = builder.freeze()
-    profile.annotate_model(model, catalog=catalog)
+    profile.annotate_model(model, builder.clauses, catalog=catalog)
     return model

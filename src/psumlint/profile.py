@@ -48,9 +48,6 @@ class ProfileCatalog(NamedTuple):
     measurement_features: tuple[str, ...]
     risk_levels: tuple[str, ...]
 
-    def to_json(self) -> str:
-        return json.dumps({"version": 1, **self._asdict()}, indent=2) + "\n"
-
     @classmethod
     def from_json(cls, text: str) -> "ProfileCatalog":
         """Read a catalog; a missing field raises ``KeyError`` and a field
@@ -442,22 +439,14 @@ def check_applicability(app: StereotypeApplication, element: Element,
     return None
 
 
-def annotate_model(model: Model, catalog: Optional[ProfileCatalog] = None) -> None:
-    """Derive the profile facts once, at build time: flag every reference
-    carrier (annotated or not), interpret every annotation clause, and
-    collect ``model.risks``, adding their V012 findings."""
+def annotate_model(model: Model, clauses: Iterable[tuple[Element, AnnotationClause]],
+                   catalog: Optional[ProfileCatalog] = None) -> None:
+    """Derive the profile facts once, at build time: interpret the
+    (element, annotation clause) pairs that interning collected, in element
+    order, and collect ``model.risks``, adding their V012 findings."""
     catalog = catalog or DEFAULT_CATALOG
     attachments: list[tuple[Element, AnnotationClause]] = []
-    for element in model.elements:
-        node = element.ast
-        if node is None:
-            continue
-        element.is_reference_carrier = (
-            "ref" in (node.attr("modifiers", ()) or ())
-            and bool(node.attr("refsubsets") or node.attr("redefines")))
-        clause = node.attr("annotation")
-        if clause is None:
-            continue
+    for element, clause in clauses:
         if element.is_reference_carrier:
             attachments.append((element, clause))
             continue

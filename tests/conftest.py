@@ -2,9 +2,12 @@ import os
 
 import pytest
 
+from psumlint import profile
 from psumlint.api import Analysis, analyze_files
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+#: the bundled profile catalog, the file ``DEFAULT_CATALOG`` is read from
+CATALOG_PATH = os.path.join(os.path.dirname(profile.__file__), "profile-catalog.json")
 
 #: fixtures expected to validate without any error-severity findings
 CLEAN_FIXTURES = ("acc.sysml", "interaction.sysml", "vfea.sysml",
@@ -18,6 +21,11 @@ def fixture_path(name: str) -> str:
 
 def fixture_text(name: str) -> str:
     with open(fixture_path(name), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def catalog_text() -> str:
+    with open(CATALOG_PATH, "r", encoding="utf-8") as fh:
         return fh.read()
 
 

@@ -12,7 +12,8 @@ from psumlint.cli import run
 from psumlint.propagation import backward_trace, forward_trace
 from psumlint.reporting import render_risks
 
-from conftest import ALL_FIXTURES, CLEAN_FIXTURES, fixture_path, fixture_text
+from conftest import (ALL_FIXTURES, CLEAN_FIXTURES, catalog_text, fixture_path,
+                      fixture_text)
 
 
 def invoke(capsys, *argv):
@@ -371,8 +372,7 @@ def test_derive_specs_json(capsys):
 
 
 def test_profile_catalog_override(tmp_path, capsys):
-    from psumlint.profile import DEFAULT_CATALOG
-    data = json.loads(DEFAULT_CATALOG.to_json())
+    data = json.loads(catalog_text())
     # forbid Uncertainty on attribute usages: the VFEA fixture now violates
     data["stereotypes"]["Uncertainty"] = ["OccurrenceDefinitionLike",
                                           "OccurrenceUsageLike"]
@@ -389,7 +389,7 @@ def test_profile_catalog_override(tmp_path, capsys):
         "{ impact = RiskMetadata::LevelEnum::medium; } } }", encoding="utf-8")
     code, out, _ = invoke(capsys, "check", str(model))
     assert code == 0
-    data = json.loads(DEFAULT_CATALOG.to_json())
+    data = json.loads(catalog_text())
     data["risk_levels"] = ["low", "high"]
     catalog_path.write_text(json.dumps(data), encoding="utf-8")
     code, out, _ = invoke(capsys, "--profile-catalog", str(catalog_path),
@@ -408,7 +408,7 @@ def test_profile_catalog_bad_file(tmp_path, capsys):
 
 def test_profile_catalog_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
     # a catalog saved as UTF-8 with a leading U+FEFF loads like one without
-    catalog = profile.DEFAULT_CATALOG.to_json()
+    catalog = catalog_text()
     results = []
     for encoding in ("utf-8", "utf-8-sig"):
         catalog_path = tmp_path / f"catalog-{encoding}.json"
@@ -428,7 +428,7 @@ def test_profile_catalog_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
 ])
 def test_profile_catalog_of_wrong_shape_is_a_usage_error(tmp_path, capsys,
                                                          field, value):
-    data = json.loads(profile.DEFAULT_CATALOG.to_json())
+    data = json.loads(catalog_text())
     if field is None:
         data = value
     else:

@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 from psumlint.api import analyze_files, analyze_sources, analyze_text
 from psumlint.model import (_CATEGORY_BY_KIND, INHERITANCE_KINDS, EdgeKind,
                             ElementKind, MetaclassCategory, _Builder,
-                            strongly_connected)
+                            build_model, strongly_connected)
 
 from psumlint.source import SourceFile
+from psumlint.syntax import AstNode, parse_file
 
-from conftest import (ALL_FIXTURES, analyze_fixture, fixture_text,
+from conftest import (ALL_FIXTURES, analyze_fixture, fixture_path, fixture_text,
                       specialization_model)
+from test_parser import generated_model
 
 
 def qn(analysis, name):
@@ -361,23 +365,27 @@ def test_strongly_connected_components():
 
 def test_every_specialization_has_edge_or_r001():
     """Each relationship occurrence yields exactly one edge or one R001."""
-    for name in ALL_FIXTURES:
-        analysis = analyze_fixture(name)
-        model = analysis.model
+    accepts = ("package P { item def S; state def M { state a; state b; "
+               "transition t first a accept s : S then b; "
+               "transition u first b accept r : Missing then a; } }")
+    sources = [SourceFile.read(fixture_path(name)) for name in ALL_FIXTURES]
+    sources.append(SourceFile(path="<accepts>", content=accepts))
+    for source in sources:
+        model = analyze_sources([source]).model
         declared = 0
-        for element in model.elements:
-            node = element.ast
-            if node is None:
-                continue
-            declared += len(node.attr("specializes", ()) or ())
-            declared += len(node.attr("specializes_list", ()) or ())
+        nodes = [parse_file(source)[0]]
+        for node in nodes:
+            nodes.extend(node.children)
+            for name in ("specializes", "specializes_list", "subsets",
+                         "redefines", "refsubsets"):
+                declared += len(node.attr(name) or ())
             declared += 1 if node.attr("typing") else 0
-            declared += len(node.attr("subsets", ()) or ())
-            declared += len(node.attr("redefines", ()) or ())
-            declared += len(node.attr("refsubsets", ()) or ())
+            # an accept parameter is an element typed as the clause says
+            accept = node.attr("accept")
+            declared += 1 if accept and accept.param_name and accept.typing else 0
         r001 = sum(1 for d in model.diagnostics if d.code == "R001")
         r003 = sum(1 for d in model.diagnostics if d.code == "R003")
-        assert declared == len(model.edges) + r001 + r003, name
+        assert declared == len(model.edges) + r001 + r003, source.path
 
 
 def test_qualified_names_follow_ownership(acc):
@@ -497,8 +505,64 @@ def test_forward_chain_resolves_in_linear_work():
 
 
 def test_built_model_keeps_no_unstarted_table():
-    # an emptied set keeps the table it grew to, for the model's lifetime
+    # an emptied dict keeps the table it grew to, for the model's lifetime
     model = analyze_text(specialization_model(
         [[i - 1] if i else [] for i in range(200)], [])).model
     assert not model.diagnostics
-    assert sys.getsizeof(model._unstarted) == sys.getsizeof(set())
+    assert sys.getsizeof(model._unstarted) == sys.getsizeof({})
+
+
+def _live_syntax_nodes() -> int:
+    # AstNode has no __weakref__, so its instances are counted through gc
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, AstNode))
+
+
+def test_analysis_holds_no_syntax_tree():
+    before = _live_syntax_nodes()
+    analysis = analyze_text(fixture_text("acc.sysml"))
+    assert analysis.findings == []
+    assert _live_syntax_nodes() == before
+
+
+def test_live_memory_after_analysis_per_source_character():
+    # each element held its syntax node, and so every tree: 43.7 bytes per
+    # character on this model; the model alone keeps 22.7
+    source = SourceFile(path="<generated>", content=generated_model(700))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        analysis = analyze_sources([source])
+        gc.collect()
+        live, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # only the last usage's forward reference is dangling
+    assert [d.code for d in analysis.model.diagnostics] == ["R001"]
+    assert live <= 30 * len(source.content), live / len(source.content)
+
+
+def test_build_model_interns_each_file_as_it_arrives():
+    # a generator's next file is parsed after the last tree is interned and
+    # freed, so at most one tree is alive while a file set is read
+    sources = [SourceFile(path=f"f{i}.sysml", content=text) for i, text in enumerate((
+        "package A { part def D; part d : D; }",
+        "package B { import A::*; part e : D :> A::d; }",
+        "package C { part f : B::missing; }"))]
+    before = _live_syntax_nodes()
+    seen = []
+
+    def parsed():
+        for source in sources:
+            seen.append(_live_syntax_nodes() - before)
+            yield (source, *parse_file(source))
+
+    streamed = build_model(parsed())
+    listed = build_model([(source, *parse_file(source)) for source in sources])
+    assert seen == [0, 0, 0]
+    assert streamed.files == listed.files == tuple(sources)
+    assert [e.qualified_name for e in streamed.elements] == \
+        [e.qualified_name for e in listed.elements]
+    assert streamed.edges == listed.edges
+    assert streamed.diagnostics == listed.diagnostics
+    assert [d.code for d in streamed.diagnostics] == ["R001"]

@@ -11,6 +11,8 @@ from psumlint.profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
                               apply_measurement_error, collect_risks,
                               load_catalog)
 
+from conftest import catalog_text
+
 # -- annotation interpretation ---------------------------------------------------
 
 def app_of(analysis, qualified, stereotype):
@@ -289,10 +291,12 @@ def test_bundled_catalog_file_matches_default():
 
 
 def test_catalog_round_trips_through_json():
-    assert ProfileCatalog.from_json(DEFAULT_CATALOG.to_json()) == DEFAULT_CATALOG
+    assert ProfileCatalog.from_json(catalog_text()) == DEFAULT_CATALOG
+    assert ProfileCatalog.from_json(json.dumps(DEFAULT_CATALOG._asdict())) \
+        == DEFAULT_CATALOG
 
 
 def test_catalog_json_is_schema_shaped():
-    data = json.loads(DEFAULT_CATALOG.to_json())
+    data = json.loads(catalog_text())
     assert set(data["stereotypes"]) == set(TABLE)
     assert data["risk_levels"] == ["low", "medium", "high"]

@@ -18,7 +18,7 @@ from psumlint.reporting import (RenderError, count_lom, graph_node_labels,
                                 render_stats, render_suggestions,
                                 render_topics, render_trace)
 
-from conftest import (ALL_FIXTURES, analyze_fixture, fixture_text,
+from conftest import (ALL_FIXTURES, analyze_fixture, catalog_text, fixture_text,
                       specialization_model)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
@@ -126,7 +126,7 @@ def test_stats_text_contains_tables(acc):
 
 def _extended_catalog() -> ProfileCatalog:
     """The bundled catalog plus two stereotypes it does not define."""
-    data = json.loads(DEFAULT_CATALOG.to_json())
+    data = json.loads(catalog_text())
     data["stereotypes"]["Hazard"] = ["OccurrenceDefinitionLike",
                                      "OccurrenceUsageLike"]
     data["stereotypes"]["Drift"] = ["OccurrenceUsageLike"]
@@ -288,8 +288,7 @@ def test_suggestions_render_json_schema(interaction):
 
 
 def test_profile_catalog_matches_schema():
-    from psumlint.profile import DEFAULT_CATALOG
-    check(DEFAULT_CATALOG.to_json(), "profile-catalog.schema.json")
+    check(catalog_text(), "profile-catalog.schema.json")
 
 
 def test_unsupported_format_pairs_raise(acc):
