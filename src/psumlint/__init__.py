@@ -13,7 +13,7 @@ from .profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
 from .propagation import (PropagationGraph, TraceStartError, backward_trace,
                           build_propagation_graph, derive_effect_specifications,
                           forward_trace, topic_report)
-from .inheritance import derived_report, effective_stereotypes
+from .inheritance import effective_stereotypes
 from .reporting import model_stats
 from .source import SourceFile, Span
 from .syntax import parse_file

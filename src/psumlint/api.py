@@ -10,8 +10,7 @@ from functools import cached_property
 from typing import Optional
 
 from .diagnostics import Diagnostic
-from .inheritance import (DerivedReport, EffectiveMap, derived_report,
-                          effective_stereotypes)
+from .inheritance import EffectiveMap, effective_stereotypes
 from .model import Model, build_model
 from .profile import DEFAULT_CATALOG, ProfileCatalog, RiskAnnotation
 from .propagation import (PropagationGraph, SpecSuggestion, TopicRecord,
@@ -42,9 +41,6 @@ class Analysis:
 
     def stats(self) -> dict:
         return model_stats(self.model, self.effective)
-
-    def derived(self) -> DerivedReport:
-        return derived_report(self.model, self.effective)
 
     def topics(self) -> list[TopicRecord]:
         return topic_report(self.model, self.graph)

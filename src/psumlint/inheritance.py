@@ -13,11 +13,10 @@ fields merge field-wise with the nearer application winning.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .model import EdgeKind, Model
-from .profile import (EFFECT, INDETERMINACY_SOURCE,
-                      INDETERMINACY_SPECIFICATION, UNCERTAINTY,
+from .profile import (EFFECT, INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                       Provenance, StereotypeApplication)
 
 _NO_KINDS: frozenset[str] = frozenset()
@@ -30,7 +29,8 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
     front; equal sets are interned, so elements share them. That answers
     ``has_effective`` with one set test. An element's full list, ordered
     direct first and then by (depth, origin, stereotype), is built from its
-    parents' lists when it is first read, and kept.
+    parents' lists when it is first read, and kept; ``references`` and
+    ``specifications`` are composed and kept the same way, without lists.
     """
 
     def __init__(self, model: Model) -> None:
@@ -40,8 +40,6 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
         self._references: dict[int, list[StereotypeApplication]] = {}
         #: element -> {specification constraint: distance}, in list order
         self._specifications: dict[int, dict[int, int]] = {}
-        self._firsts: dict[tuple[str, ...],
-                           dict[int, Optional[StereotypeApplication]]] = {}
         kinds = self._kinds
         interned: dict[frozenset[str], frozenset[str]] = {}
         for eid in _post_order(model, (e.id for e in model.elements), kinds):
@@ -75,38 +73,6 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
     def kinds(self, eid: int) -> frozenset[str]:
         """The stereotypes an element carries, directly or inherited."""
         return self._kinds.get(eid, _NO_KINDS)
-
-    def first(self, eid: int, stereotypes: tuple[str, ...]
-              ) -> Optional[StereotypeApplication]:
-        """The first application of one of ``stereotypes`` in ``self[eid]``.
-
-        Found without building lists: an element's first one is its own
-        application of the least such stereotype, or else the least by
-        (depth, origin, stereotype) of its parents' first ones, carried over
-        the first inheritance edge that reaches it. The redefinition
-        override never removes it, as it only drops kinds the element
-        applies itself. One carried application per element is kept for
-        each ``stereotypes``.
-        """
-        if self.kinds(eid).isdisjoint(stereotypes):
-            return None
-        memo = self._firsts.setdefault(stereotypes, {})
-        model = self._model
-        for node in _post_order(model, (eid,), memo):
-            own = [app for app in _direct(model.elements[node])
-                   if app.stereotype in stereotypes]
-            if own:
-                memo[node] = own[0]
-                continue
-            best = via = None
-            for edge in model.inheritance_edges(node):
-                found = memo[edge.target]
-                if found is not None and (best is None
-                                          or _rank(found) < _rank(best)):
-                    best, via = found, edge
-            memo[node] = (None if best is None
-                          else _carry(best, (via.kind, via.target), node))
-        return memo[eid]
 
     def references(self, eid: int) -> list[StereotypeApplication]:
         """The Uncertainty and Effect applications in ``self[eid]`` that
@@ -213,13 +179,6 @@ def _rank(app: StereotypeApplication) -> tuple[int, int, str]:
     return (app.provenance.depth, app.provenance.origin, app.stereotype)
 
 
-def _direct(element) -> list[StereotypeApplication]:
-    """An element's direct entries in list order: the last application of
-    each stereotype, by stereotype."""
-    by_kind = {app.stereotype: app for app in element.annotations}
-    return [by_kind[stereotype] for stereotype in sorted(by_kind)]
-
-
 def _refers(app: StereotypeApplication) -> bool:
     return (app.stereotype in (UNCERTAINTY, EFFECT)
             and bool(app.spec_refs or app.effect_refs))
@@ -261,40 +220,3 @@ def effective_characterization(effective: EffectiveMap, eid: int):
         merged = merged.merged_under(app.characterization)
     return merged
 
-
-class DerivedEntry(NamedTuple):
-    """An element that inherits a stereotype it does not apply itself;
-    ``provenance`` is the link of its nearest such application."""
-
-    element: int
-    stereotype: str
-    provenance: Provenance
-
-    @property
-    def origin(self) -> int:
-        return self.provenance.origin
-
-
-class DerivedReport(NamedTuple):
-    """Elements made uncertain / indeterminate purely by inheritance."""
-
-    uncertain: tuple[DerivedEntry, ...]
-    sources: tuple[DerivedEntry, ...]
-
-
-def derived_report(model: Model, effective: EffectiveMap) -> DerivedReport:
-    uncertain: list[DerivedEntry] = []
-    sources: list[DerivedEntry] = []
-    for element in model.elements:
-        if element.is_prelude or element.is_reference_carrier:
-            continue
-        kinds = effective.kinds(element.id)
-        direct_kinds = {app.stereotype for app in element.annotations}
-        for names, bucket in (((UNCERTAINTY, EFFECT), uncertain),
-                              ((INDETERMINACY_SOURCE,), sources)):
-            if not kinds.isdisjoint(names) and direct_kinds.isdisjoint(names):
-                first = effective.first(element.id, names)
-                bucket.append(DerivedEntry(
-                    element=element.id, stereotype=first.stereotype,
-                    provenance=first.provenance))
-    return DerivedReport(uncertain=tuple(uncertain), sources=tuple(sources))

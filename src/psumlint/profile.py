@@ -453,14 +453,30 @@ def annotate_model(model: Model, clauses: Iterable[tuple[Element, AnnotationClau
         apps, diags = interpret_annotation(clause, element, model, catalog)
         element.annotations = tuple(apps)
         model.diagnostics.extend(diags)
+    #: (application, reference field) -> its targets, in attachment order
+    refs: dict[tuple[StereotypeApplication, str], list[RefTarget]] = {}
     for carrier, clause in attachments:
-        _attach_reference(model, carrier, clause, catalog)
+        _attach_reference(model, carrier, clause, catalog, refs)
+    for (app, field), targets in refs.items():
+        setattr(app, field, getattr(app, field) + tuple(targets))
     model.risks, diags = collect_risks(model)
     model.diagnostics.extend(diags)
 
 
+#: reference carrier's stereotype -> (owner stereotypes it attaches to, field)
+_REF_FIELDS = {
+    INDETERMINACY_SPECIFICATION: ((UNCERTAINTY, EFFECT), "spec_refs"),
+    EFFECT: ((UNCERTAINTY, EFFECT), "effect_refs"),
+    UNCERTAINTY: ((UNCERTAINTY_TOPIC,), "uncertainty_refs"),
+}
+
+
 def _attach_reference(model: Model, carrier: Element, clause: AnnotationClause,
-                      catalog: ProfileCatalog) -> None:
+                      catalog: ProfileCatalog,
+                      refs: dict[tuple[StereotypeApplication, str],
+                                 list[RefTarget]]) -> None:
+    """Add the carrier's targets to ``refs`` under the owner's application
+    that each of its stereotypes attaches to."""
     owner = model.elements[carrier.owner] if carrier.owner is not None else None
     targets = carrier.ref_targets
     for entry in clause.entries:
@@ -468,20 +484,12 @@ def _attach_reference(model: Model, carrier: Element, clause: AnnotationClause,
             model.diagnostics.append(diagnostics.make(
                 "V002", entry.span, f"unknown stereotype name {entry.name!r}"))
             continue
-        if owner is None or not targets:
+        if owner is None or not targets or entry.name not in _REF_FIELDS:
             continue
-        if entry.name == INDETERMINACY_SPECIFICATION:
-            app = _first_app(owner.annotations, (UNCERTAINTY, EFFECT))
-            if app is not None:
-                app.spec_refs = app.spec_refs + targets
-        elif entry.name == EFFECT:
-            app = _first_app(owner.annotations, (UNCERTAINTY, EFFECT))
-            if app is not None:
-                app.effect_refs = app.effect_refs + targets
-        elif entry.name == UNCERTAINTY:
-            app = _first_app(owner.annotations, (UNCERTAINTY_TOPIC,))
-            if app is not None:
-                app.uncertainty_refs = app.uncertainty_refs + targets
+        names, field = _REF_FIELDS[entry.name]
+        app = _first_app(owner.annotations, names)
+        if app is not None:
+            refs.setdefault((app, field), []).extend(targets)
 
 
 # -- risks ---------------------------------------------------------------------

@@ -264,36 +264,31 @@ class TopicRecord(NamedTuple):
 
 def topic_report(model: Model, graph: PropagationGraph) -> list[TopicRecord]:
     """One record per directly declared uncertainty topic."""
+    risks_at: dict[int, list[RiskAnnotation]] = {}
+    for risk in model.risks:
+        risks_at.setdefault(risk.element, []).append(risk)
     records: list[TopicRecord] = []
     for element in model.elements:
         topic_apps = [a for a in element.annotations
                       if a.stereotype == UNCERTAINTY_TOPIC]
         if not topic_apps:
             continue
-        members: list[int] = []
-        for app in topic_apps:
-            for ref in app.uncertainty_refs:
-                if ref.target not in members:
-                    members.append(ref.target)
-        roots: list[int] = []
-        effects: list[int] = []
-        risk_hits: list[RiskAnnotation] = []
+        # insertion-ordered dicts: each list in first-found order, once
+        members = dict.fromkeys(ref.target for app in topic_apps
+                                for ref in app.uncertainty_refs)
+        roots: dict[int, None] = {}
+        effects: dict[int, None] = {}
+        risk_hits: dict[RiskAnnotation, None] = {}
         for member in members:
             if not graph.has_node(member):
                 continue
-            for root in backward_trace(graph, member).roots:
-                if root not in roots:
-                    roots.append(root)
-            forward = forward_trace(graph, member)
-            for node in forward.reached:
+            roots.update(dict.fromkeys(backward_trace(graph, member).roots))
+            for node in forward_trace(graph, member).reached:
                 node_roles = graph.roles.get(node, set())
-                if NodeRole.EFFECT in node_roles and node != member \
-                        and node not in effects:
-                    effects.append(node)
+                if NodeRole.EFFECT in node_roles and node != member:
+                    effects[node] = None
                 if NodeRole.RISK in node_roles:
-                    for risk in model.risks:
-                        if risk.element == node and risk not in risk_hits:
-                            risk_hits.append(risk)
+                    risk_hits.update(dict.fromkeys(risks_at.get(node, ())))
         records.append(TopicRecord(
             topic=element.id, members=tuple(members), roots=tuple(roots),
             effects=tuple(effects), risks=tuple(risk_hits)))

@@ -361,36 +361,6 @@ def render_graph(graph: PropagationGraph, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_derived(report, model: Model, fmt: str) -> str:
-    def entry_dict(entry):
-        return {
-            "element": model.elements[entry.element].display_name(),
-            "stereotype": entry.stereotype,
-            "origin": model.elements[entry.origin].display_name(),
-            "path": [{"edge": kind.value,
-                      "through": model.elements[via].display_name()}
-                     for kind, via in entry.provenance.path],
-        }
-    if fmt == "json":
-        return render_json({
-            "derived_uncertain": [entry_dict(e) for e in report.uncertain],
-            "derived_sources": [entry_dict(e) for e in report.sources],
-        })
-    if fmt != "text":
-        raise RenderError(f"derived report cannot be rendered as {fmt!r}")
-    lines = ["Derived uncertain elements:"]
-    for entry in report.uncertain:
-        lines.append(f"  {model.elements[entry.element].display_name()} "
-                     f"<- {entry.stereotype} from "
-                     f"{model.elements[entry.origin].display_name()}")
-    lines.append("Derived indeterminacy sources:")
-    for entry in report.sources:
-        lines.append(f"  {model.elements[entry.element].display_name()} "
-                     f"<- {entry.stereotype} from "
-                     f"{model.elements[entry.origin].display_name()}")
-    return "\n".join(lines) + "\n"
-
-
 def render_topics(records: list[TopicRecord], model: Model, fmt: str) -> str:
     payload = [{
         "topic": model.elements[record.topic].display_name(),

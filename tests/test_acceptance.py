@@ -12,6 +12,7 @@ from decimal import Decimal
 from psumlint.api import analyze_text
 from psumlint.diagnostics import RULE_CATALOG, Severity
 from psumlint.lexer import tokenize
+from psumlint.model import EdgeKind
 from psumlint.profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
                               Provenance, StereotypeApplication,
                               apply_measurement_error, check_applicability)
@@ -90,19 +91,26 @@ def test_criterion_3_measurement_interval_exact():
 
 def test_criterion_4_stereotype_inheritance():
     interaction = analyze_fixture("interaction.sysml")
-    derived = interaction.derived()
-    ports = sorted(interaction.model.elements[e.element].qualified_name
-                   for e in derived.sources)
+    inherited = [e for e in interaction.model.elements
+                 if not (e.is_prelude or e.is_reference_carrier)
+                 and "IndeterminacySource" in interaction.effective.kinds(e.id)
+                 and all(a.stereotype != "IndeterminacySource"
+                         for a in e.annotations)]
+    ports = sorted(element.qualified_name for element in inherited)
     assert ports == [
         "Configuration::consumer::subscriptionPort",
         "Configuration::producer::publicationPort",
         "Configuration::server::publicationPort",
         "Configuration::server::subscriptionPort",
     ]
-    for entry in derived.sources:
-        element = interaction.model.elements[entry.element]
+    for element in inherited:
         assert element.kind.value == "port"
         assert element.annotations == ()
+        # each port's source is its definition's, one typing hop away
+        [source] = [a for a in interaction.effective[element.id]
+                    if a.stereotype == "IndeterminacySource"]
+        assert [kind for kind, _ in source.provenance.path] == \
+            [EdgeKind.FEATURE_TYPING]
 
     frigate = analyze_fixture("frigate.sysml")
     model = frigate.model

@@ -311,8 +311,8 @@ def test_risks_collects_risks_once_per_consumer(capsys, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     analysis = analyze_text(fixture_text("arrowhead.sysml"))
-    for report in (analysis.stats, analysis.derived, analysis.topics,
-                   analysis.risks, analysis.suggestions):
+    for report in (analysis.stats, analysis.topics, analysis.risks,
+                   analysis.suggestions):
         report()
     assert analysis.findings == [] and analysis.graph.edges
     assert len(calls) == 1
@@ -501,8 +501,8 @@ def _generated_models():
 
 def _analyse_everything(text):
     analysis = analyze_text(text)
-    for report in (analysis.stats, analysis.derived, analysis.topics,
-                   analysis.risks, analysis.suggestions):
+    for report in (analysis.stats, analysis.topics, analysis.risks,
+                   analysis.suggestions):
         report()
     assert analysis.findings is not None
     nodes = analysis.graph.nodes()
@@ -577,7 +577,7 @@ def test_cli_garbage_does_not_grow_with_the_model(tmp_path, capsys):
 
 
 def test_json_output_of_every_subcommand_matches_its_schema(capsys):
-    from test_reporting import check as check_schema
+    from test_reporting import SCHEMA_DIR, check as check_schema
     cases = [
         (("check", "--format", "json", fixture_path("acc.sysml")),
          "diagnostics.schema.json"),
@@ -602,3 +602,6 @@ def test_json_output_of_every_subcommand_matches_its_schema(capsys):
         code, out, _ = invoke(capsys, *argv)
         assert code == 0, argv
         check_schema(out, schema_name)
+    # every schema has a producer: a subcommand above or the bundled catalog
+    assert ({name for _, name in cases} | {"profile-catalog.schema.json"}
+            == set(os.listdir(SCHEMA_DIR)))

@@ -5,9 +5,8 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psumlint.api import Analysis, analyze_text
-from psumlint.inheritance import (derived_report, effective_stereotypes,
-                                  has_effective)
+from psumlint.api import analyze_text
+from psumlint.inheritance import effective_stereotypes, has_effective
 from psumlint.model import INHERITANCE_KINDS, EdgeKind, Model
 from psumlint.profile import (DEFAULT_CATALOG, EFFECT, INDETERMINACY_SOURCE,
                               INDETERMINACY_SPECIFICATION, UNCERTAINTY)
@@ -38,17 +37,26 @@ def test_ports_inherit_source_via_typing(interaction):
     ]
 
 
+def inherited_only(analysis, stereotype):
+    """Elements that carry ``stereotype`` by inheritance and do not apply it
+    themselves, reference carriers and the prelude aside."""
+    return [e.id for e in analysis.model.elements
+            if not (e.is_prelude or e.is_reference_carrier)
+            and stereotype in analysis.effective.kinds(e.id)
+            and all(a.stereotype != stereotype for a in e.annotations)]
+
+
 def test_exactly_four_ports_become_sources_by_inheritance(interaction):
-    report = interaction.derived()
-    assert names(interaction, [e.element for e in report.sources]) == [
+    sources = inherited_only(interaction, INDETERMINACY_SOURCE)
+    assert names(interaction, sources) == [
         "Configuration::consumer::subscriptionPort",
         "Configuration::producer::publicationPort",
         "Configuration::server::publicationPort",
         "Configuration::server::subscriptionPort",
     ]
     # none of them carries a direct usage-level annotation
-    for entry in report.sources:
-        assert interaction.model.elements[entry.element].annotations == ()
+    for eid in sources:
+        assert interaction.model.elements[eid].annotations == ()
 
 
 def test_subclassification_inherits_source_and_specs(frigate):
@@ -68,15 +76,8 @@ def test_subclassification_inherits_source_and_specs(frigate):
 
 
 def test_acc_sources_are_direct_not_derived(acc):
-    report = acc.derived()
-    assert report.sources == ()
-    assert report.uncertain == ()
-
-
-def test_empty_model_has_empty_report():
-    analysis = analyze_text("package P { }")
-    report = analysis.derived()
-    assert report.sources == () and report.uncertain == ()
+    for stereotype in DEFAULT_CATALOG.stereotypes:
+        assert inherited_only(acc, stereotype) == []
 
 
 def test_element_with_no_edges_or_annotations_has_empty_effective(acc):
@@ -202,8 +203,8 @@ def test_deep_reverse_chain_needs_no_recursion():
     assert app.provenance.origin == model.resolve_qualified(f"P::D{depth}")
     assert analysis.graph is not None
     assert analysis.findings is not None
-    for report in (analysis.stats, analysis.derived, analysis.topics,
-                   analysis.risks, analysis.suggestions):
+    for report in (analysis.stats, analysis.topics, analysis.risks,
+                   analysis.suggestions):
         report()
 
 
@@ -235,22 +236,6 @@ def test_deep_chain_effective_memory_is_linear():
     assert peak < 4 * 2 ** 20
 
 
-def test_deep_chain_derived_memory_is_linear():
-    model = _reverse_chain(3000).model
-    analysis = Analysis(model=model, catalog=DEFAULT_CATALOG)
-    analysis.effective
-    tracemalloc.start()
-    try:
-        report = analysis.derived()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(report.sources) == 3000
-    assert len(report.sources[0].provenance.path) == 3000
-    # a copied path per entry would hold 3000 * 3001 / 2 path entries
-    assert peak < 4 * 2 ** 20
-
-
 def _lattice_chain(depth):
     # every third level an Uncertainty, as in the benchmark's lattice: the
     # full lists would hold depth * depth / 6 inherited applications
@@ -277,7 +262,7 @@ def test_pipeline_builds_no_effective_lists():
         assert not analysis.findings
         graph = analysis.graph
         for report in (analysis.stats, analysis.topics, analysis.risks,
-                       analysis.suggestions, analysis.derived):
+                       analysis.suggestions):
             report()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -330,8 +315,6 @@ _APPLIED = ("", "«Uncertainty<ocr, epi, subj>» ", "«Uncertainty<con>» ",
             "«Effect<con>» ", "«IndeterminacySource<nd>» ",
             "«Uncertainty<ocr>, Effect» ",
             "«Uncertainty<ocr>, Uncertainty<con>» ")
-_GROUPS = ((UNCERTAINTY, EFFECT), (INDETERMINACY_SOURCE,), (UNCERTAINTY,),
-           (EFFECT,))
 
 
 def _oracle(model):
@@ -403,14 +386,6 @@ def _check_against_oracle(model, order):
     for eid in order:
         assert eid in effective
         assert effective.kinds(eid) == {row[0] for row in oracle[eid]}
-        for names in _GROUPS:
-            rows = [row for row in oracle[eid] if row[0] in names]
-            found = effective.first(eid, names)
-            if rows:
-                assert (_row(found), found.element) == \
-                    (_oracle_row(rows[0]), eid)
-            else:
-                assert found is None
         assert [(a.stereotype, a.spec_refs, a.effect_refs)
                 for a in effective.references(eid)] == \
             [(row[0], row[3].spec_refs, row[3].effect_refs)
@@ -420,22 +395,6 @@ def _check_against_oracle(model, order):
             for child in model.elements[scope].owned
             if any(row[0] == INDETERMINACY_SPECIFICATION
                    for row in oracle[child])]
-    derived = derived_report(model, effective)
-    expected = {"uncertain": [], "sources": []}
-    for element in model.elements:
-        if element.is_prelude or element.is_reference_carrier:
-            continue
-        rows = oracle[element.id]
-        for group, names in (("uncertain", (UNCERTAINTY, EFFECT)),
-                             ("sources", (INDETERMINACY_SOURCE,))):
-            inherited = [row for row in rows if row[0] in names and row[2]]
-            if inherited and not any(row[0] in names and not row[2]
-                                     for row in rows):
-                expected[group].append((element.id, inherited[0][0],
-                                        inherited[0][1], inherited[0][2]))
-    for group, entries in expected.items():
-        assert [(e.element, e.stereotype, e.origin, e.provenance.path)
-                for e in getattr(derived, group)] == entries
     # then the lists, built in the given order
     for eid in order:
         assert [(_row(app), app.element) for app in effective[eid]] == \

@@ -447,7 +447,6 @@ def test_model_immutable_across_analyses():
     _ = analysis.findings
     _ = analysis.graph
     _ = analysis.stats()
-    _ = analysis.derived()
     _ = analysis.topics()
     _ = analysis.suggestions()
     assert snapshot() == before

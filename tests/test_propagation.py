@@ -370,6 +370,30 @@ def test_topic_with_zero_members():
     assert records[0].members == ()
 
 
+def test_topics_read_model_risks_once():
+    # a topic whose member incurs many risks: each reached risk node finds
+    # its annotations in an index, not in a scan of model.risks
+    count = 50
+    analysis = analyze_text(
+        "package P { «UncertaintyTopic» item def T { «Uncertainty» ref ::> u; } "
+        "«Uncertainty<ocr, epi, subj>» part u { "
+        + " ".join(f"metadata r{i} : RiskMetadata::Risk;" for i in range(count))
+        + " } }")
+    analysis.graph
+    iterations = []
+
+    class CountingList(list):
+        def __iter__(self):
+            iterations.append(1)
+            return super().__iter__()
+
+    analysis.model.risks = CountingList(analysis.model.risks)
+    [record] = analysis.topics()
+    assert [risk.name for risk in record.risks] == \
+        [f"r{i}" for i in range(count)]
+    assert len(iterations) <= 1
+
+
 def test_groups_edges_do_not_contribute_to_reachability(acc):
     topic = rq(acc, "SignalDefinition::PerceptionSignal")
     result = forward_trace(acc.graph, topic)

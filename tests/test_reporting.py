@@ -13,9 +13,8 @@ from psumlint.api import analyze_text
 from psumlint.profile import DEFAULT_CATALOG, ProfileCatalog
 from psumlint.propagation import backward_trace, forward_trace
 from psumlint.reporting import (RenderError, count_lom, graph_node_labels,
-                                render_derived, render_diagnostics,
-                                render_graph, render_json, render_risks,
-                                render_stats, render_suggestions,
+                                render_diagnostics, render_graph, render_json,
+                                render_risks, render_stats, render_suggestions,
                                 render_topics, render_trace)
 
 from conftest import (ALL_FIXTURES, analyze_fixture, catalog_text, fixture_text,
@@ -260,11 +259,6 @@ def test_trace_render_json_schema(interaction):
     check(render_trace(result, interaction.graph, "json"), "trace.schema.json")
     backward = backward_trace(interaction.graph, publish)
     check(render_trace(backward, interaction.graph, "json"), "trace.schema.json")
-
-
-def test_derived_render_json_schema(interaction):
-    rendered = render_derived(interaction.derived(), interaction.model, "json")
-    check(rendered, "derived.schema.json")
 
 
 def test_topics_render_json_schema(arrowhead):
