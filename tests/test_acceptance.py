@@ -90,12 +90,10 @@ def test_criterion_3_measurement_interval_exact():
 
 
 def test_criterion_4_stereotype_inheritance():
+    from test_inheritance import inherited_only
     interaction = analyze_fixture("interaction.sysml")
-    inherited = [e for e in interaction.model.elements
-                 if not (e.is_prelude or e.is_reference_carrier)
-                 and "IndeterminacySource" in interaction.effective.kinds(e.id)
-                 and all(a.stereotype != "IndeterminacySource"
-                         for a in e.annotations)]
+    inherited = [interaction.model.elements[eid] for eid
+                 in inherited_only(interaction, "IndeterminacySource")]
     ports = sorted(element.qualified_name for element in inherited)
     assert ports == [
         "Configuration::consumer::subscriptionPort",
