@@ -196,13 +196,10 @@ def run(argv: list[str]) -> int:
         sys.stdout.write(reporting.render_graph(analysis.graph, args.format))
         return _finding_exit(analysis)
 
-    if args.command == "derive-specs":
-        sys.stdout.write(reporting.render_suggestions(
-            analysis.suggestions(), analysis.model, args.format))
-        return _finding_exit(analysis)
-
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    # argparse admits no other command: this is derive-specs
+    sys.stdout.write(reporting.render_suggestions(
+        analysis.suggestions(), analysis.model, args.format))
+    return _finding_exit(analysis)
 
 
 def main() -> None:

@@ -44,12 +44,8 @@ class EffectiveMap(Mapping[int, list[StereotypeApplication]]):
         interned: dict[frozenset[str], frozenset[str]] = {}
         for eid in _post_order(model, (e.id for e in model.elements), kinds):
             direct = model.elements[eid].annotations
-            edges = model.inheritance_edges(eid)
-            if not direct and len(edges) == 1:
-                kinds[eid] = kinds[edges[0].target]
-                continue
             found = frozenset(app.stereotype for app in direct).union(
-                *(kinds[edge.target] for edge in edges))
+                *(kinds[edge.target] for edge in model.inheritance_edges(eid)))
             kinds[eid] = interned.setdefault(found, found)
 
     def __getitem__(self, eid: int) -> list[StereotypeApplication]:
@@ -188,20 +184,9 @@ def _carry(app: StereotypeApplication, hop: tuple[EdgeKind, int],
            onto: int) -> StereotypeApplication:
     """``app`` one hop further: its provenance gains one link, not a copy."""
     provenance = app.provenance
-    return StereotypeApplication(
-        stereotype=app.stereotype,
-        element=onto,
-        provenance=Provenance(origin=provenance.origin, span=provenance.span,
-                              hop=hop, rest=provenance,
-                              depth=provenance.depth + 1),
-        span=app.span,
-        characterization=app.characterization,
-        nature=app.nature,
-        duration=app.duration,
-        spec_refs=app.spec_refs,
-        effect_refs=app.effect_refs,
-        uncertainty_refs=app.uncertainty_refs,
-    )
+    return app._replace(element=onto, provenance=Provenance(
+        origin=provenance.origin, span=provenance.span, hop=hop,
+        rest=provenance, depth=provenance.depth + 1))
 
 
 def has_effective(effective: EffectiveMap, eid: int, *stereotypes: str) -> bool:

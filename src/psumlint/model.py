@@ -153,10 +153,8 @@ class RefTarget(NamedTuple):
 
     target: int
     anchor: Optional[int]
-    chain: tuple[int, ...]
     text: str
     span: Span
-    relation: EdgeKind
 
 
 class Element:
@@ -657,7 +655,7 @@ class _Builder:
         if kind in INHERITANCE_KINDS:
             self.model._inherits.setdefault(eid, []).append(edge)
         if kind in (EdgeKind.REDEFINITION, EdgeKind.REFERENCE_SUBSETTING):
-            element.ref_targets += (_make_ref_target(ids, path, kind),)
+            element.ref_targets += (_make_ref_target(ids, path),)
 
     # ---- acyclicity ----------------------------------------------------------
 
@@ -741,14 +739,12 @@ def _relationships(attrs: dict) -> list[tuple[NamePath, Optional[EdgeKind], bool
     return todo
 
 
-def _make_ref_target(ids: list[int], path: NamePath, relation: EdgeKind) -> RefTarget:
+def _make_ref_target(ids: list[int], path: NamePath) -> RefTarget:
     return RefTarget(
         target=ids[-1],
         anchor=ids[-2] if len(ids) >= 2 else None,
-        chain=tuple(ids),
         text=path.text,
         span=path.span,
-        relation=relation,
     )
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import os
 from decimal import Decimal
-from typing import Iterable, NamedTuple, Optional
+from collections.abc import Iterable, Mapping
+from typing import NamedTuple, Optional
 
 from . import diagnostics
 from .diagnostics import Diagnostic
@@ -221,33 +222,21 @@ class Provenance:
                 f"path={self.path!r})")
 
 
-class StereotypeApplication:
-    """One stereotype on one element, direct or carried to it. The
-    characterization, nature, duration and references are filled in as
-    the element's annotation and reference attachments are read."""
+class StereotypeApplication(NamedTuple):
+    """One stereotype on one element, direct or carried to it. The profile
+    makes it whole from the element's annotation and reference
+    attachments; inheritance carries it with ``_replace``."""
 
-    __slots__ = ("stereotype", "element", "provenance", "span",
-                 "characterization", "nature", "duration", "spec_refs",
-                 "effect_refs", "uncertainty_refs")
-
-    def __init__(self, stereotype: str, element: int, provenance: Provenance,
-                 span: Span,
-                 characterization: Optional[UncertaintyCharacterization] = None,
-                 nature: Optional[str] = None,
-                 duration: Optional[MeasuredExpression] = None,
-                 spec_refs: tuple[RefTarget, ...] = (),
-                 effect_refs: tuple[RefTarget, ...] = (),
-                 uncertainty_refs: tuple[RefTarget, ...] = ()) -> None:
-        self.stereotype = stereotype
-        self.element = element
-        self.provenance = provenance
-        self.span = span
-        self.characterization = characterization
-        self.nature = nature
-        self.duration = duration
-        self.spec_refs = spec_refs
-        self.effect_refs = effect_refs
-        self.uncertainty_refs = uncertainty_refs
+    stereotype: str
+    element: int
+    provenance: Provenance
+    span: Span
+    characterization: Optional[UncertaintyCharacterization] = None
+    nature: Optional[str] = None
+    duration: Optional[MeasuredExpression] = None
+    spec_refs: tuple[RefTarget, ...] = ()
+    effect_refs: tuple[RefTarget, ...] = ()
+    uncertainty_refs: tuple[RefTarget, ...] = ()
 
     @property
     def is_direct(self) -> bool:
@@ -343,10 +332,13 @@ def _measured_expression(value: Value) -> Optional[MeasuredExpression]:
 
 
 def interpret_annotation(clause: AnnotationClause, element: Element,
-                         model: Model, catalog: ProfileCatalog
+                         catalog: ProfileCatalog
                          ) -> tuple[list[StereotypeApplication], list[Diagnostic]]:
-    """One application per stereotype name; body properties attach to it."""
-    apps: list[StereotypeApplication] = []
+    """One application per stereotype, made whole with its body properties.
+    A later entry that repeats a stereotype has its codes decoded, is
+    reported as V014 and is otherwise ignored."""
+    #: stereotype -> the fields of its application, in entry order
+    fields: dict[str, dict] = {}
     diags: list[Diagnostic] = []
     for entry in clause.entries:
         if entry.name not in catalog.stereotypes:
@@ -355,35 +347,41 @@ def interpret_annotation(clause: AnnotationClause, element: Element,
             continue
         decoded, code_diags = _decode_codes(entry, entry.name, catalog)
         diags.extend(code_diags)
-        app = StereotypeApplication(
-            stereotype=entry.name, element=element.id,
-            provenance=Provenance(origin=element.id, span=entry.span),
-            span=entry.span)
+        if entry.name in fields:
+            diags.append(diagnostics.make(
+                "V014", entry.span,
+                f"{entry.name} is applied more than once to "
+                f"{element.display_name()}"))
+            continue
+        app: dict = {"span": entry.span}
         if entry.name in (UNCERTAINTY, EFFECT) and decoded:
-            app.characterization = UncertaintyCharacterization(
-                kind=decoded.get("kind"), nature=decoded.get("nature"),
-                perspective=decoded.get("perspective"))
+            app["characterization"] = UncertaintyCharacterization(**decoded)
         if entry.name == INDETERMINACY_SOURCE:
-            app.nature = decoded.get("nature")
-        apps.append(app)
-    diags.extend(_attach_body_properties(element, apps, catalog))
+            app["nature"] = decoded.get("nature")
+        fields[entry.name] = app
+    diags.extend(_attach_body_properties(element, fields, catalog))
+    apps = [StereotypeApplication(
+                stereotype=name, element=element.id,
+                provenance=Provenance(origin=element.id, span=app["span"]),
+                **app)
+            for name, app in fields.items()]
     return apps, diags
 
 
-def _first_app(apps: Iterable[StereotypeApplication], names: tuple[str, ...]
-               ) -> Optional[StereotypeApplication]:
-    """The first application of the earliest of ``names`` that has one."""
+def _first(by_stereotype: Mapping, names: tuple[str, ...]):
+    """The entry of the earliest of ``names`` that ``by_stereotype`` holds."""
     for name in names:
-        for app in apps:
-            if app.stereotype == name:
-                return app
+        if name in by_stereotype:
+            return by_stereotype[name]
     return None
 
 
-def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
+def _attach_body_properties(element: Element, fields: dict[str, dict],
                             catalog: ProfileCatalog) -> list[Diagnostic]:
+    """Add the element's body properties to the ``fields`` of its
+    applications."""
     diags: list[Diagnostic] = []
-    target = _first_app(apps, (UNCERTAINTY, EFFECT))
+    target = _first(fields, (UNCERTAINTY, EFFECT))
     for prop in element.body_properties:
         if prop.name in ("u_reducibility", "u_pattern"):
             literal = prop.value.path.text if (prop.value and prop.value.path) else None
@@ -395,17 +393,15 @@ def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
                     f"unknown {prop.name} literal {literal!r}"))
                 continue
             if target is not None:
-                base = target.characterization or UncertaintyCharacterization()
+                base = target.get("characterization") or UncertaintyCharacterization()
                 if prop.name == "u_reducibility":
-                    target.characterization = base._replace(reducibility=literal)
+                    target["characterization"] = base._replace(reducibility=literal)
                 else:
-                    target.characterization = base._replace(pattern=literal)
+                    target["characterization"] = base._replace(pattern=literal)
         elif prop.name == "b_duration":
-            expr = _measured_expression(prop.value)
-            for app in apps:
-                if app.stereotype == BELIEF_STATEMENT:
-                    app.duration = expr
-                    break
+            if BELIEF_STATEMENT in fields:
+                fields[BELIEF_STATEMENT]["duration"] = \
+                    _measured_expression(prop.value)
         elif prop.name == "measurement":
             entries: list[tuple[str, MeasuredExpression]] = []
             for feature in prop.children:
@@ -417,11 +413,11 @@ def _attach_body_properties(element: Element, apps: list[StereotypeApplication],
                 expr = _measured_expression(feature.value)
                 if expr is not None:
                     entries.append((feature.name, expr))
-            holder = _first_app(apps, (UNCERTAINTY, EFFECT, INDETERMINACY_SOURCE,
-                                       BELIEF_STATEMENT))
+            holder = _first(fields, (UNCERTAINTY, EFFECT, INDETERMINACY_SOURCE,
+                                     BELIEF_STATEMENT))
             if holder is not None and entries:
-                base = holder.characterization or UncertaintyCharacterization()
-                holder.characterization = base._replace(measurements=tuple(entries))
+                base = holder.get("characterization") or UncertaintyCharacterization()
+                holder["characterization"] = base._replace(measurements=tuple(entries))
     return diags
 
 
@@ -450,15 +446,19 @@ def annotate_model(model: Model, clauses: Iterable[tuple[Element, AnnotationClau
         if element.is_reference_carrier:
             attachments.append((element, clause))
             continue
-        apps, diags = interpret_annotation(clause, element, model, catalog)
+        apps, diags = interpret_annotation(clause, element, catalog)
         element.annotations = tuple(apps)
         model.diagnostics.extend(diags)
-    #: (application, reference field) -> its targets, in attachment order
-    refs: dict[tuple[StereotypeApplication, str], list[RefTarget]] = {}
+    #: (owner, application index) -> reference field -> its targets, in
+    #: attachment order
+    refs: dict[tuple[int, int], dict[str, list[RefTarget]]] = {}
     for carrier, clause in attachments:
         _attach_reference(model, carrier, clause, catalog, refs)
-    for (app, field), targets in refs.items():
-        setattr(app, field, getattr(app, field) + tuple(targets))
+    for (owner, index), found in refs.items():
+        apps = list(model.elements[owner].annotations)
+        apps[index] = apps[index]._replace(
+            **{field: tuple(targets) for field, targets in found.items()})
+        model.elements[owner].annotations = tuple(apps)
     model.risks, diags = collect_risks(model)
     model.diagnostics.extend(diags)
 
@@ -473,8 +473,8 @@ _REF_FIELDS = {
 
 def _attach_reference(model: Model, carrier: Element, clause: AnnotationClause,
                       catalog: ProfileCatalog,
-                      refs: dict[tuple[StereotypeApplication, str],
-                                 list[RefTarget]]) -> None:
+                      refs: dict[tuple[int, int], dict[str, list[RefTarget]]]
+                      ) -> None:
     """Add the carrier's targets to ``refs`` under the owner's application
     that each of its stereotypes attaches to."""
     owner = model.elements[carrier.owner] if carrier.owner is not None else None
@@ -487,9 +487,11 @@ def _attach_reference(model: Model, carrier: Element, clause: AnnotationClause,
         if owner is None or not targets or entry.name not in _REF_FIELDS:
             continue
         names, field = _REF_FIELDS[entry.name]
-        app = _first_app(owner.annotations, names)
-        if app is not None:
-            refs.setdefault((app, field), []).extend(targets)
+        index = _first({app.stereotype: index for index, app
+                        in enumerate(owner.annotations)}, names)
+        if index is not None:
+            refs.setdefault((owner.id, index), {}).setdefault(
+                field, []).extend(targets)
 
 
 # -- risks ---------------------------------------------------------------------

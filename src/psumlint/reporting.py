@@ -17,16 +17,15 @@ from types import GeneratorType
 from .diagnostics import Diagnostic
 from .inheritance import EffectiveMap
 from .model import Model
-from .profile import (BELIEF_STATEMENT, EFFECT, INDETERMINACY_SOURCE,
+from .profile import (DEFAULT_CATALOG, EFFECT, INDETERMINACY_SOURCE,
                       INDETERMINACY_SPECIFICATION, UNCERTAINTY,
                       UNCERTAINTY_TOPIC, RiskAnnotation)
 from .propagation import (NodeRole, PropagationEdgeKind, PropagationGraph,
                           SpecSuggestion, TopicRecord, TraceResult)
 
-STEREOTYPE_ORDER = (BELIEF_STATEMENT, INDETERMINACY_SOURCE,
-                    INDETERMINACY_SPECIFICATION, UNCERTAINTY,
-                    UNCERTAINTY_TOPIC, EFFECT)
-_STEREOTYPE_RANK = {name: index for index, name in enumerate(STEREOTYPE_ORDER)}
+#: the profile's stereotypes in the bundled catalog's order
+_STEREOTYPE_RANK = {name: index for index, name
+                    in enumerate(DEFAULT_CATALOG.stereotypes)}
 
 
 def count_lom(text: str) -> int:

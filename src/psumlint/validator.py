@@ -25,7 +25,7 @@ def validate(model: Model, catalog: ProfileCatalog = DEFAULT_CATALOG,
     if effective is None:
         effective = effective_stereotypes(model)
     findings: list[Diagnostic] = list(model.diagnostics)
-    findings += _applicability_and_duplicates(model, catalog)
+    findings += _applicability_rule(model, catalog)
     findings += _specification_rules(model, effective)
     findings += _reference_rules(model, effective)
     findings += _measurement_and_body_rules(model, effective)
@@ -35,23 +35,16 @@ def validate(model: Model, catalog: ProfileCatalog = DEFAULT_CATALOG,
     return ordered(findings)
 
 
-def _applicability_and_duplicates(model: Model,
-                                  catalog: ProfileCatalog) -> list[Diagnostic]:
+def _applicability_rule(model: Model, catalog: ProfileCatalog) -> list[Diagnostic]:
+    """V001: a stereotype applied to an element it does not extend."""
     out: list[Diagnostic] = []
     for element in model.elements:
         if element.is_prelude:
             continue
-        seen: set[str] = set()
         for app in element.annotations:
             finding = check_applicability(app, element, model, catalog)
             if finding is not None:
                 out.append(finding)
-            if app.stereotype in seen:
-                out.append(diagnostics.make(
-                    "V014", app.span,
-                    f"{app.stereotype} is applied more than once to "
-                    f"{element.display_name()}"))
-            seen.add(app.stereotype)
     return out
 
 

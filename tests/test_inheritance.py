@@ -86,6 +86,20 @@ def test_element_with_no_edges_or_annotations_has_empty_effective(acc):
     assert acc.effective[ready] == []
 
 
+def test_single_parent_child_shares_its_parents_kind_set():
+    # equal kind sets are interned, so an unannotated child of one parent
+    # holds the parent's set itself, not a copy
+    analysis = analyze_text(
+        "package P { «Uncertainty<ocr>» part def D; part u : D; "
+        "part v :> u; «Effect» part w :> u; }")
+    effective = analysis.effective
+    d, u, v, w = (analysis.model.resolve_qualified(f"P::{name}")
+                  for name in "Duvw")
+    assert effective.kinds(u) is effective.kinds(d) == {"Uncertainty"}
+    assert effective.kinds(v) is effective.kinds(d)
+    assert effective.kinds(w) == {"Uncertainty", "Effect"}
+
+
 def test_monotonicity_adding_direct_application():
     base = ("package P { part def D %s; part u defined by D; "
             "part v :> u; }")

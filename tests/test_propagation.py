@@ -15,7 +15,7 @@ from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
                                   SpecSuggestion, TRACE_KINDS,
                                   TraceStartError, backward_trace,
                                   forward_trace)
-from psumlint.reporting import graph_node_labels, render_trace
+from psumlint.reporting import graph_node_labels, render_graph, render_trace
 from psumlint.source import SourceFile
 
 from conftest import ALL_FIXTURES, analyze_fixture
@@ -55,6 +55,30 @@ def test_unannotated_model_yields_empty_graph():
     analysis = analyze_text("package P { part a; part b; }")
     assert analysis.graph.nodes() == []
     assert analysis.graph.edges == []
+
+
+REPEATED_UNCERTAINTY = (
+    "package P { «IndeterminacySource<nd>» part def S { "
+    "«IndeterminacySpecification» constraint c { true } } part s : S; "
+    "«Effect<con>» part e; «Uncertainty<ocr>%s» part u { "
+    "«IndeterminacySpecification» ref ::> s.c; «Effect» ref ::> e; } }")
+
+
+def test_repeated_stereotype_keeps_its_references():
+    # the references attach to the element's one Uncertainty application,
+    # so repeating the stereotype loses neither Causes nor Propagates
+    single = analyze_text(REPEATED_UNCERTAINTY % "")
+    repeated = analyze_text(REPEATED_UNCERTAINTY % ", Uncertainty<con>")
+    assert single.findings == []
+    assert [d.code for d in repeated.findings] == ["V014"]
+    assert edge_pairs(single, PropagationEdgeKind.CAUSES) == {("c", "u")}
+    assert edge_pairs(single, PropagationEdgeKind.PROPAGATES) == {("u", "e")}
+    for fmt in ("dot", "json"):
+        assert render_graph(repeated.graph, fmt) == \
+            render_graph(single.graph, fmt)
+    traces = [render_trace(forward_trace(a.graph, rq(a, "P::u")), a.graph,
+                           "text") for a in (single, repeated)]
+    assert traces[0] == traces[1] and "P::e" in traces[0]
 
 
 def test_forward_trace_two_hops_to_delivery(interaction):

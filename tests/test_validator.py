@@ -126,6 +126,13 @@ def test_v001_example_from_applicability_matrix():
     assert codes_of(findings).count("V001") == 1
 
 
+def test_repeated_stereotype_is_checked_once():
+    # the later application is reported as V014 and otherwise ignored
+    findings = run("package P { «IndeterminacySpecification, "
+                   "IndeterminacySpecification» part p; }")
+    assert codes_of(findings) == ["V001", "V014"]
+
+
 def test_v005_accepts_specs_inherited_into_specializing_elements(frigate):
     # constraints declared in a stereotyped general definition satisfy the
     # ownership rule for everything that specializes it
