@@ -8,9 +8,10 @@ module is its only statement: ``DEFAULT_CATALOG`` is loaded from it, and
 risk levels also name the prelude's ``RiskMetadata::LevelEnum`` literals.
 
 Annotation clauses attached to ``ref`` usages that carry a reference target
-are *reference attachments*: they contribute spec/effect/topic-member
-references to the enclosing element's application instead of forming
-stereotype applications of their own.
+are *reference attachments*. They are decoded and checked like any clause,
+but form no stereotype applications of their own: only their targets go to
+the enclosing element's application, as its spec/effect/topic-member
+references.
 """
 
 from __future__ import annotations
@@ -435,34 +436,6 @@ def check_applicability(app: StereotypeApplication, element: Element,
     return None
 
 
-def annotate_model(model: Model, clauses: Iterable[tuple[Element, AnnotationClause]],
-                   catalog: Optional[ProfileCatalog] = None) -> None:
-    """Derive the profile facts once, at build time: interpret the
-    (element, annotation clause) pairs that interning collected, in element
-    order, and collect ``model.risks``, adding their V012 findings."""
-    catalog = catalog or DEFAULT_CATALOG
-    attachments: list[tuple[Element, AnnotationClause]] = []
-    for element, clause in clauses:
-        if element.is_reference_carrier:
-            attachments.append((element, clause))
-            continue
-        apps, diags = interpret_annotation(clause, element, catalog)
-        element.annotations = tuple(apps)
-        model.diagnostics.extend(diags)
-    #: (owner, application index) -> reference field -> its targets, in
-    #: attachment order
-    refs: dict[tuple[int, int], dict[str, list[RefTarget]]] = {}
-    for carrier, clause in attachments:
-        _attach_reference(model, carrier, clause, catalog, refs)
-    for (owner, index), found in refs.items():
-        apps = list(model.elements[owner].annotations)
-        apps[index] = apps[index]._replace(
-            **{field: tuple(targets) for field, targets in found.items()})
-        model.elements[owner].annotations = tuple(apps)
-    model.risks, diags = collect_risks(model)
-    model.diagnostics.extend(diags)
-
-
 #: reference carrier's stereotype -> (owner stereotypes it attaches to, field)
 _REF_FIELDS = {
     INDETERMINACY_SPECIFICATION: ((UNCERTAINTY, EFFECT), "spec_refs"),
@@ -471,27 +444,44 @@ _REF_FIELDS = {
 }
 
 
-def _attach_reference(model: Model, carrier: Element, clause: AnnotationClause,
-                      catalog: ProfileCatalog,
-                      refs: dict[tuple[int, int], dict[str, list[RefTarget]]]
-                      ) -> None:
-    """Add the carrier's targets to ``refs`` under the owner's application
-    that each of its stereotypes attaches to."""
-    owner = model.elements[carrier.owner] if carrier.owner is not None else None
-    targets = carrier.ref_targets
-    for entry in clause.entries:
-        if entry.name not in catalog.stereotypes:
-            model.diagnostics.append(diagnostics.make(
-                "V002", entry.span, f"unknown stereotype name {entry.name!r}"))
-            continue
-        if owner is None or not targets or entry.name not in _REF_FIELDS:
-            continue
-        names, field = _REF_FIELDS[entry.name]
-        index = _first({app.stereotype: index for index, app
-                        in enumerate(owner.annotations)}, names)
-        if index is not None:
-            refs.setdefault((owner.id, index), {}).setdefault(
-                field, []).extend(targets)
+def annotate_model(model: Model, clauses: Iterable[tuple[Element, AnnotationClause]],
+                   catalog: ProfileCatalog) -> None:
+    """Derive the profile facts once, at build time: interpret the
+    (element, annotation clause) pairs that interning collected, in element
+    order, and collect ``model.risks``, adding their V012 findings.
+
+    A reference carrier keeps no applications. Each of its applications
+    that ``_REF_FIELDS`` names adds the carrier's targets to the owner's
+    application of the first stereotype there that the owner has.
+    Interning lists an element's clause before its children's, so the
+    owner's applications are made before its carriers are read."""
+    #: (owner, application index) -> reference field -> its targets, in
+    #: attachment order
+    refs: dict[tuple[int, int], dict[str, list[RefTarget]]] = {}
+    for element, clause in clauses:
+        apps, diags = interpret_annotation(clause, element, catalog)
+        model.diagnostics.extend(diags)
+        if not element.is_reference_carrier:
+            element.annotations = tuple(apps)
+        elif element.owner is not None and element.ref_targets:
+            owner = element.owner
+            positions = {app.stereotype: index for index, app
+                         in enumerate(model.elements[owner].annotations)}
+            for app in apps:
+                if app.stereotype not in _REF_FIELDS:
+                    continue
+                names, field = _REF_FIELDS[app.stereotype]
+                index = _first(positions, names)
+                if index is not None:
+                    refs.setdefault((owner, index), {}).setdefault(
+                        field, []).extend(element.ref_targets)
+    for (owner, index), found in refs.items():
+        apps = list(model.elements[owner].annotations)
+        apps[index] = apps[index]._replace(
+            **{field: tuple(targets) for field, targets in found.items()})
+        model.elements[owner].annotations = tuple(apps)
+    model.risks, diags = collect_risks(model)
+    model.diagnostics.extend(diags)
 
 
 # -- risks ---------------------------------------------------------------------

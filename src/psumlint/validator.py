@@ -10,20 +10,17 @@ from __future__ import annotations
 
 from . import diagnostics
 from .diagnostics import Diagnostic, ordered
-from .inheritance import EffectiveMap, effective_stereotypes, has_effective
+from .inheritance import EffectiveMap, has_effective
 from .model import ElementKind, Model
-from .profile import (BELIEF_STATEMENT, DEFAULT_CATALOG, EFFECT,
-                      INDETERMINACY_SOURCE, INDETERMINACY_SPECIFICATION,
-                      UNCERTAINTY, UNCERTAINTY_TOPIC, ProfileCatalog,
-                      check_applicability)
+from .profile import (BELIEF_STATEMENT, EFFECT, INDETERMINACY_SOURCE,
+                      INDETERMINACY_SPECIFICATION, UNCERTAINTY,
+                      UNCERTAINTY_TOPIC, ProfileCatalog, check_applicability)
 
 _UNCERTAIN = (UNCERTAINTY, EFFECT)
 
 
-def validate(model: Model, catalog: ProfileCatalog = DEFAULT_CATALOG,
-             effective: EffectiveMap | None = None) -> list[Diagnostic]:
-    if effective is None:
-        effective = effective_stereotypes(model)
+def validate(model: Model, catalog: ProfileCatalog,
+             effective: EffectiveMap) -> list[Diagnostic]:
     findings: list[Diagnostic] = list(model.diagnostics)
     findings += _applicability_rule(model, catalog)
     findings += _specification_rules(model, effective)
@@ -166,8 +163,6 @@ def _orphan_effect_rule(model: Model) -> list[Diagnostic]:
                 inbound.add(ref.target)
     out: list[Diagnostic] = []
     for element in model.elements:
-        if element.is_reference_carrier:
-            continue
         for app in element.annotations:
             if app.stereotype == EFFECT and element.id not in inbound:
                 out.append(diagnostics.make(

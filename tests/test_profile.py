@@ -11,6 +11,7 @@ from psumlint.profile import (DEFAULT_CATALOG, Interval, MeasuredExpression,
                               MeasurementError, ProfileCatalog,
                               apply_measurement_error, collect_risks,
                               load_catalog)
+from psumlint.propagation import PropagationEdgeKind
 
 from conftest import catalog_text
 
@@ -297,6 +298,33 @@ def test_reference_attachment_copies_each_target_once(monkeypatch):
         [f"C{i}" for i in range(count)]
     assert len(app.effect_refs) == len(topic.uncertainty_refs) == count
     assert 3 * count <= sum(copied) <= 2 * 3 * count
+
+
+REPEATED_ON_CARRIERS = (
+    "package P { «Effect<con>» part e; «Uncertainty<ocr>» part u { "
+    "«Effect, Effect» ref ::> e; } part x; «Uncertainty<ocr>» part w { "
+    "«Effect, Effect» ref ::> x; } }")
+
+
+@pytest.mark.parametrize("text, codes", [
+    (REPEATED_ON_CARRIERS, ["V014", "V014", "V007"]),
+    ("package P { «Effect<con>» part e; «Uncertainty<ocr>» part u { "
+     "«Effect<bogus>» ref ::> e; } }", ["V003"]),
+    ("package P { «Effect<con>» part e; «Uncertainty<ocr>» part u { "
+     "«Effect» ref ::> e { u_pattern = Bogus; } } }", ["V003"]),
+], ids=["repeated-stereotype", "unknown-code", "unknown-literal"])
+def test_carrier_clause_is_checked_like_any_clause(text, codes):
+    assert [d.code for d in analyze_text(text).findings] == codes
+
+
+def test_repeated_stereotype_on_a_carrier_attaches_its_targets_once():
+    analysis = analyze_text(REPEATED_ON_CARRIERS)
+    app = app_of(analysis, "P::u", "Uncertainty")
+    assert len(app.effect_refs) == 1
+    assert analysis.stats()["effect_refs"] == 2
+    [edge] = [edge for edge in analysis.graph.edges
+              if edge.kind is PropagationEdgeKind.PROPAGATES]
+    assert len(edge.provenance) == 1
 
 
 def test_unannotated_ref_redefinition_is_a_reference_carrier():
