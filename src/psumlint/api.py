@@ -14,8 +14,8 @@ from .inheritance import EffectiveMap, effective_stereotypes
 from .model import Model, build_model
 from .profile import DEFAULT_CATALOG, ProfileCatalog, RiskAnnotation
 from .propagation import (PropagationGraph, SpecSuggestion, TopicRecord,
-                          build_propagation_graph, derive_effect_specifications,
-                          topic_report)
+                          backward_trace, build_propagation_graph,
+                          derive_effect_specifications, topic_report)
 from .reporting import model_stats
 from .source import SourceFile
 from .syntax import parse_file
@@ -47,6 +47,17 @@ class Analysis:
 
     def risks(self) -> list[RiskAnnotation]:
         return self.model.risks
+
+    def risk_roots(self) -> dict[int, list[int]]:
+        """Each risk's metadata element -> the roots of a backward trace from
+        the element the risk annotates, traced once per distinct target; a
+        risk whose target is no graph node has no entry."""
+        graph, risks = self.graph, self.risks()
+        traced = {target: list(backward_trace(graph, target).roots)
+                  for target in dict.fromkeys(risk.target for risk in risks)
+                  if graph.has_node(target)}
+        return {risk.element: traced[risk.target] for risk in risks
+                if risk.target in traced}
 
     def suggestions(self) -> list[SpecSuggestion]:
         return derive_effect_specifications(self.model, self.effective, self.graph)

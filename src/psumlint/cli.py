@@ -34,6 +34,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+#: every subcommand: its help text, its formats with the default first, and,
+#: for a report, what it prints of an Analysis in a format (``check`` and
+#: ``propagate`` print in ``run``)
+COMMANDS = {
+    "check": ("run the validator", ("text", "json"), None),
+    "stats": ("model statistics", ("text", "json"),
+              lambda analysis, fmt: reporting.render_stats(analysis.stats(), fmt)),
+    "propagate": ("forward/backward uncertainty trace", ("text", "json", "dot"),
+                  None),
+    "topics": ("uncertainty topic report", ("text", "json"),
+               lambda analysis, fmt: reporting.render_topics(
+                   analysis.topics(), analysis.model, fmt)),
+    "risks": ("risk annotations with root traces", ("text", "json"),
+              lambda analysis, fmt: reporting.render_risks(
+                  analysis.risks(), analysis.risk_roots(), analysis.model, fmt)),
+    "graph": ("full propagation graph", ("dot", "json"),
+              lambda analysis, fmt: reporting.render_graph(analysis.graph, fmt)),
+    "derive-specs": ("suggest specifications effects would inherit",
+                     ("text", "json"),
+                     lambda analysis, fmt: reporting.render_suggestions(
+                         analysis.suggestions(), analysis.model, fmt)),
+}
+
+
 def build_argparser() -> _Parser:
     parser = _Parser(prog="psumlint",
                      description="Validate and analyze uncertainty-annotated "
@@ -45,27 +69,17 @@ def build_argparser() -> _Parser:
     parser.add_argument("--no-color", action="store_true",
                         help="disable ANSI colors (also: PSUMLINT_NO_COLOR)")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, help_text: str, formats: tuple[str, ...],
-            default_format: str) -> argparse.ArgumentParser:
+    for name, (help_text, formats, _render) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("files", nargs="+", metavar="file")
-        cmd.add_argument("--format", choices=formats, default=default_format)
-        return cmd
-
-    check = add("check", "run the validator", ("text", "json"), "text")
-    check.add_argument("--warnings-as-errors", action="store_true")
-    add("stats", "model statistics", ("text", "json"), "text")
-    propagate = add("propagate", "forward/backward uncertainty trace",
-                    ("text", "json", "dot"), "text")
-    propagate.add_argument("--from", dest="from_name", metavar="QUALIFIED-NAME")
-    propagate.add_argument("--to", dest="to_name", metavar="QUALIFIED-NAME")
-    propagate.add_argument("--effects-only", action="store_true")
-    add("topics", "uncertainty topic report", ("text", "json"), "text")
-    add("risks", "risk annotations with root traces", ("text", "json"), "text")
-    add("graph", "full propagation graph", ("dot", "json"), "dot")
-    add("derive-specs", "suggest specifications effects would inherit",
-        ("text", "json"), "text")
+        cmd.add_argument("--format", choices=formats, default=formats[0])
+        if name == "check":
+            cmd.add_argument("--warnings-as-errors", action="store_true")
+        elif name == "propagate":
+            cmd.add_argument("--from", dest="from_name",
+                             metavar="QUALIFIED-NAME")
+            cmd.add_argument("--to", dest="to_name", metavar="QUALIFIED-NAME")
+            cmd.add_argument("--effects-only", action="store_true")
     return parser
 
 
@@ -96,24 +110,6 @@ def _want_color(args) -> bool:
     return sys.stdout.isatty()
 
 
-def _finding_exit(analysis: Analysis) -> int:
-    findings = analysis.findings
-    if parse_or_resolution_errors(findings):
-        return EXIT_PARSE
-    if has_errors(findings):
-        return EXIT_VALIDATION
-    return EXIT_OK
-
-
-def _guard_analysis(analysis: Analysis) -> Optional[int]:
-    """Analysis subcommands refuse to run over unparsable/unresolved input."""
-    errors = parse_or_resolution_errors(analysis.findings)
-    if errors:
-        sys.stderr.write(reporting.render_diagnostics(errors, "text"))
-        return EXIT_PARSE
-    return None
-
-
 def run(argv: list[str]) -> int:
     parser = build_argparser()
     args = parser.parse_args(argv)
@@ -124,9 +120,12 @@ def run(argv: list[str]) -> int:
     analysis, status = _load(args)
     if analysis is None:
         return status
+    findings = analysis.findings
+    blocking = parse_or_resolution_errors(findings)
+    exit_code = (EXIT_PARSE if blocking
+                 else EXIT_VALIDATION if has_errors(findings) else EXIT_OK)
 
     if args.command == "check":
-        findings = analysis.findings
         out = reporting.render_diagnostics(findings, args.format,
                                            color=_want_color(args))
         sys.stdout.write(out)
@@ -134,18 +133,14 @@ def run(argv: list[str]) -> int:
         warnings = len(findings) - errors
         if args.format == "text" and not args.quiet:
             print(f"{errors} error(s), {warnings} warning(s)")
-        exit_code = _finding_exit(analysis)
         if exit_code == EXIT_OK and warnings and args.warnings_as_errors:
             exit_code = EXIT_VALIDATION
         return exit_code
 
-    guard = _guard_analysis(analysis)
-    if guard is not None:
-        return guard
-
-    if args.command == "stats":
-        sys.stdout.write(reporting.render_stats(analysis.stats(), args.format))
-        return _finding_exit(analysis)
+    # the other subcommands refuse to run over unparsable or unresolved input
+    if blocking:
+        sys.stderr.write(reporting.render_diagnostics(blocking, "text"))
+        return EXIT_PARSE
 
     if args.command == "propagate":
         if bool(args.from_name) == bool(args.to_name):
@@ -158,48 +153,17 @@ def run(argv: list[str]) -> int:
             print(f"psumlint: cannot resolve qualified name {name!r}",
                   file=sys.stderr)
             return EXIT_USAGE
+        trace = forward_trace if args.from_name else backward_trace
         try:
-            if args.from_name:
-                result = forward_trace(analysis.graph, eid,
-                                       effects_only=args.effects_only)
-            else:
-                result = backward_trace(analysis.graph, eid,
-                                        effects_only=args.effects_only)
+            result = trace(analysis.graph, eid, effects_only=args.effects_only)
         except TraceStartError as exc:
             print(f"psumlint: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        sys.stdout.write(reporting.render_trace(result, analysis.graph,
-                                                args.format))
-        return _finding_exit(analysis)
-
-    if args.command == "topics":
-        sys.stdout.write(reporting.render_topics(analysis.topics(),
-                                                 analysis.model, args.format))
-        return _finding_exit(analysis)
-
-    if args.command == "risks":
-        risks = analysis.risks()
-        roots: dict[int, list[int]] = {}
-        traced: dict[int, list[int]] = {}  # target -> its roots, traced once
-        for risk in risks:
-            target = risk.target
-            if analysis.graph.has_node(target):
-                if target not in traced:
-                    traced[target] = list(
-                        backward_trace(analysis.graph, target).roots)
-                roots[risk.element] = traced[target]
-        sys.stdout.write(reporting.render_risks(risks, roots,
-                                                analysis.model, args.format))
-        return _finding_exit(analysis)
-
-    if args.command == "graph":
-        sys.stdout.write(reporting.render_graph(analysis.graph, args.format))
-        return _finding_exit(analysis)
-
-    # argparse admits no other command: this is derive-specs
-    sys.stdout.write(reporting.render_suggestions(
-        analysis.suggestions(), analysis.model, args.format))
-    return _finding_exit(analysis)
+        out = reporting.render_trace(result, analysis.graph, args.format)
+    else:
+        out = COMMANDS[args.command][2](analysis, args.format)
+    sys.stdout.write(out)
+    return exit_code
 
 
 def main() -> None:

@@ -491,7 +491,7 @@ def collect_risks(model: Model) -> tuple[list[RiskAnnotation], list[Diagnostic]]
     risks: list[RiskAnnotation] = []
     diags: list[Diagnostic] = []
     for element in model.elements:
-        if element.kind is not ElementKind.METADATA_USAGE or element.is_prelude:
+        if element.kind is not ElementKind.METADATA_USAGE:
             continue
         if not _is_risk_typed(model, element):
             continue

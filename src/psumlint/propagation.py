@@ -132,7 +132,7 @@ def build_propagation_graph(model: Model,
 
     uncertain_elements: list[int] = []
     for element in model.elements:
-        if element.is_prelude or element.is_reference_carrier:
+        if element.is_reference_carrier:
             continue
         eid = element.id
         if has_effective(effective, eid, INDETERMINACY_SOURCE):

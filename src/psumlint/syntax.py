@@ -697,8 +697,6 @@ class Parser:
         start = self.cur.advance()  # 'doc'
         # the comment body was stashed as trivia when advancing past 'doc'
         body = self.cur.last_doc_comment()
-        if body is None and self.cur.tok.kind == TokenKind.DOC_COMMENT:
-            body = self.cur.advance()
         node = AstNode(kind="DocComment", span=self._span(start),
                        attrs={"text": body.text if body else ""})
         if body is None:

@@ -13,8 +13,8 @@ from .diagnostics import Diagnostic, ordered
 from .inheritance import EffectiveMap, has_effective
 from .model import ElementKind, Model
 from .profile import (BELIEF_STATEMENT, EFFECT, INDETERMINACY_SOURCE,
-                      INDETERMINACY_SPECIFICATION, UNCERTAINTY,
-                      UNCERTAINTY_TOPIC, ProfileCatalog, check_applicability)
+                      INDETERMINACY_SPECIFICATION, UNCERTAINTY, ProfileCatalog,
+                      check_applicability)
 
 _UNCERTAIN = (UNCERTAINTY, EFFECT)
 
@@ -36,8 +36,6 @@ def _applicability_rule(model: Model, catalog: ProfileCatalog) -> list[Diagnosti
     """V001: a stereotype applied to an element it does not extend."""
     out: list[Diagnostic] = []
     for element in model.elements:
-        if element.is_prelude:
-            continue
         for app in element.annotations:
             finding = check_applicability(app, element, model, catalog)
             if finding is not None:
@@ -90,8 +88,6 @@ def _reference_rules(model: Model, effective: EffectiveMap) -> list[Diagnostic]:
                         "V007", ref.span,
                         f"effect target {ref.text!r} is not an uncertain element"))
             for ref in app.uncertainty_refs:
-                if app.stereotype != UNCERTAINTY_TOPIC:
-                    continue
                 if not has_effective(effective, ref.target, *_UNCERTAIN):
                     out.append(diagnostics.make(
                         "V008", ref.span,
@@ -103,8 +99,6 @@ def _measurement_and_body_rules(model: Model,
                                 effective: EffectiveMap) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for element in model.elements:
-        if element.is_prelude:
-            continue
         for prop in element.body_properties:
             if prop.name == "measurement":
                 if not has_effective(effective, element.id, BELIEF_STATEMENT,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from psumlint import cli, profile
+from psumlint import api, cli, profile
 from psumlint.api import analyze_text
 from psumlint.cli import run
 from psumlint.propagation import backward_trace, forward_trace
@@ -331,23 +331,31 @@ def test_risks_trace_each_target_once(tmp_path, capsys, monkeypatch):
             "    metadata r2 defined by RiskMetadata::Risk "
             "{ impact = RiskMetadata::LevelEnum::low; }\n"
             "  }\n"
+            "  part plain {\n"
+            "    metadata r3 defined by RiskMetadata::Risk "
+            "{ impact = RiskMetadata::LevelEnum::low; }\n"
+            "  }\n"
             "}\n")
     model = tmp_path / "risks.sysml"
     model.write_text(text, encoding="utf-8")
-    # the output a backward trace per risk gives
+    # the output a backward trace per risk on a graph node gives
     analysis = analyze_text(text)
     risks = analysis.risks()
     target = risks[0].target
-    assert [risk.target for risk in risks] == [target, target]
+    assert [risk.name for risk in risks] == ["r1", "r2", "r3"]
+    assert [risk.target for risk in risks[:2]] == [target, target]
+    assert not analysis.graph.has_node(risks[2].target)
     roots = {risk.element: list(backward_trace(analysis.graph, target).roots)
-             for risk in risks}
+             for risk in risks[:2]}
     calls = []
 
     def counting(graph, failure, effects_only=False):
         calls.append(failure)
         return backward_trace(graph, failure, effects_only)
 
-    monkeypatch.setattr(cli, "backward_trace", counting)
+    monkeypatch.setattr(api, "backward_trace", counting)
+    assert analyze_text(text).risk_roots() == roots  # no entry for r3
+    assert calls == [target]
     for fmt in ("text", "json"):
         calls.clear()
         code, out, _ = invoke(capsys, "risks", "--format", fmt, str(model))
@@ -355,6 +363,10 @@ def test_risks_trace_each_target_once(tmp_path, capsys, monkeypatch):
         assert out == render_risks(risks, roots, analysis.model, fmt)
         assert calls == [target]
     assert out.count('"P::S::c"') == 2
+    assert [entry["roots"] for entry in json.loads(out)][2] == []
+    code, out, _ = invoke(capsys, "check", "--format", "json", str(model))
+    assert code == 0
+    assert [row["code"] for row in json.loads(out)] == ["V013"]
 
 
 def test_graph_dot_default(capsys):
@@ -605,3 +617,51 @@ def test_json_output_of_every_subcommand_matches_its_schema(capsys):
     # every schema has a producer: a subcommand above or the bundled catalog
     assert ({name for _, name in cases} | {"profile-catalog.schema.json"}
             == set(os.listdir(SCHEMA_DIR)))
+
+
+def _every_report(capsys, paths: list[str]) -> dict:
+    """argv -> (exit, stdout, stderr) of every subcommand and format over
+    ``paths``, with ``propagate`` from and to every 5th named graph node."""
+    runs = {}
+    for command, (_help, formats, _render) in cli.COMMANDS.items():
+        if command == "propagate":
+            continue
+        for fmt in formats:
+            runs[command, fmt] = invoke(capsys, command, "--format", fmt, *paths)
+    nodes = json.loads(runs["graph", "json"][1])["nodes"]
+    names = [node["qualified_name"] for node in nodes if node["qualified_name"]]
+    for name in names[::5]:
+        for flag in ("--from", "--to"):
+            for fmt in cli.COMMANDS["propagate"][1]:
+                runs[flag, name, fmt] = invoke(
+                    capsys, "propagate", "--format", fmt, *paths, flag, name)
+    return runs
+
+
+def _without_lines_of_model(command_format: tuple, out: str):
+    if command_format == ("stats", "json"):
+        return {key: value for key, value in json.loads(out).items()
+                if key != "lom"}
+    if command_format == ("stats", "text"):
+        return [section for section in out.split("\n\n")
+                if not section.startswith("Lines of model")]
+    return out
+
+
+def test_splitting_root_packages_across_files_changes_no_report(tmp_path,
+                                                                capsys):
+    """Metamorphic: the clean fixtures as six files or as one concatenated
+    file give the same output and exit code everywhere but the line counts
+    of `stats`."""
+    joined = tmp_path / "joined.sysml"
+    joined.write_text("".join(fixture_text(name) for name in CLEAN_FIXTURES),
+                      encoding="utf-8")
+    split = _every_report(capsys, [fixture_path(n) for n in CLEAN_FIXTURES])
+    whole = _every_report(capsys, [str(joined)])
+    assert split.keys() == whole.keys()
+    assert len(split) == 12 + 84
+    for key, (code, out, err) in split.items():
+        assert code == 0, key
+        assert (code, _without_lines_of_model(key, out), err) == (
+            whole[key][0], _without_lines_of_model(key, whole[key][1]),
+            whole[key][2]), key

@@ -267,11 +267,8 @@ def test_topics_render_json_schema(arrowhead):
 
 
 def test_risks_render_json_schema(arrowhead):
-    roots = {}
-    for risk in arrowhead.risks():
-        roots[risk.element] = list(
-            backward_trace(arrowhead.graph, risk.target).roots)
-    rendered = render_risks(arrowhead.risks(), roots, arrowhead.model, "json")
+    rendered = render_risks(arrowhead.risks(), arrowhead.risk_roots(),
+                            arrowhead.model, "json")
     check(rendered, "risks.schema.json")
 
 
