@@ -363,7 +363,7 @@ def test_risks_trace_each_target_once(tmp_path, capsys, monkeypatch):
         assert out == render_risks(risks, roots, analysis.model, fmt)
         assert calls == [target]
     assert out.count('"P::S::c"') == 2
-    assert [entry["roots"] for entry in json.loads(out)][2] == []
+    assert json.loads(out)[2]["roots"] == []
     code, out, _ = invoke(capsys, "check", "--format", "json", str(model))
     assert code == 0
     assert [row["code"] for row in json.loads(out)] == ["V013"]
