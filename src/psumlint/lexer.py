@@ -60,7 +60,8 @@ KEYWORDS = frozenset({
     "part", "item", "port", "attribute", "action", "state", "constraint",
     "analysis", "requirement", "occurrence", "transition", "message",
     "metadata", "ref", "perform", "exhibit",
-    "specializes", "redefines", "defined", "by",
+    "specializes", "subsets", "redefines", "references", "defined", "typed", "by",
+    "abstract",
     "first", "accept", "via", "if", "do", "send", "then", "entry",
     "parallel", "in", "out", "about", "at", "to",
     "assume", "require", "subject", "objective", "return", "doc",

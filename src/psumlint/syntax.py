@@ -195,11 +195,12 @@ class _Cursor:
         trivia, self.pending_trivia = self.pending_trivia, []
         return trivia
 
-    def last_doc_comment(self) -> Optional[Token]:
-        for tok in reversed(self.pending_trivia):
-            if tok.kind == TokenKind.DOC_COMMENT:
-                self.pending_trivia.remove(tok)
-                return tok
+    def last_doc_comment(self, since: int) -> Optional[Token]:
+        """Take the last block comment out of the trivia from ``since`` on."""
+        trivia = self.pending_trivia
+        for index in range(len(trivia) - 1, since - 1, -1):
+            if trivia[index].kind == TokenKind.DOC_COMMENT:
+                return trivia.pop(index)
         return None
 
 
@@ -350,11 +351,13 @@ class Parser:
         return TypeRef(path=path, conjugated=conjugated, multiplicity=multiplicity)
 
     def parse_typing(self, context: Optional[str] = None) -> Optional[TypeRef]:
-        """The type of a ``:`` or ``defined by`` clause, from its first
-        token; ``context`` replaces the clause's own wording in errors."""
-        if self.cur.advance().text == "defined":
-            self._expect("by", "in 'defined by'")
-            return self.parse_type_ref(context or "after 'defined by'")
+        """The type of a ``:``, ``defined by`` or ``typed by`` clause, from
+        its first token; ``context`` replaces the clause's own wording in
+        errors."""
+        opener = self.cur.advance().text
+        if opener != ":":
+            self._expect("by", f"in '{opener} by'")
+            return self.parse_type_ref(context or f"after '{opener} by'")
         return self.parse_type_ref(context or "after ':'")
 
     def parse_value(self, context: str) -> Optional[Value]:
@@ -548,16 +551,14 @@ class Parser:
     def parse_member(self, annotation: Optional[AnnotationClause],
                      visibility: Optional[str]) -> Optional[AstNode]:
         """Definition or usage statement starting at a declaration keyword."""
-        tok = self.cur.tok
-        word = tok.text
         direction = None
         modifiers: list[str] = []
 
-        if word in ("in", "out"):
-            direction = word
-            self.cur.advance()
-            tok = self.cur.tok
-            word = tok.text
+        if self.cur.tok.text in ("in", "out"):
+            direction = self.cur.advance().text
+        self._eat("abstract")  # accepted, and changes no analysis
+        tok = self.cur.tok
+        word = tok.text
         while word in ("ref", "perform", "exhibit", "do", "assume", "entry"):
             modifiers.append(word)
             self.cur.advance()
@@ -610,15 +611,7 @@ class Parser:
         })
         if self._at_kind(TokenKind.MULTIPLICITY_BRACKET):
             node.attrs["multiplicity"] = self.cur.advance().value
-        specializes: list[TypeRef] = []
-        if self._at("specializes"):
-            # one or more 'specializes' clauses, each a ','-separated list
-            while self._at("specializes") or self._at(","):
-                ref = self.parse_type_ref(f"after {self.cur.advance().text!r}")
-                if ref:
-                    specializes.append(ref)
-        if specializes:
-            node.attrs["specializes"] = tuple(specializes)
+        self._parse_clauses(_DEFINITION_RELATIONSHIPS, node.attrs)
         self._finish_declaration(node, body_kind="constraint" if keyword == "constraint"
                                  else "general")
         return node
@@ -694,9 +687,10 @@ class Parser:
         return node
 
     def parse_doc(self) -> AstNode:
+        since = len(self.cur.pending_trivia)
         start = self.cur.advance()  # 'doc'
         # the comment body was stashed as trivia when advancing past 'doc'
-        body = self.cur.last_doc_comment()
+        body = self.cur.last_doc_comment(since)
         node = AstNode(kind="DocComment", span=self._span(start),
                        attrs={"text": body.text if body else ""})
         if body is None:
@@ -783,7 +777,7 @@ class Parser:
         if self._eat("at"):
             return AcceptClause(at=self.parse_path("after 'accept at'"))
         first = self.parse_path("after 'accept'")
-        if not (self._at("defined") or self._at(":")):
+        if self.cur.tok.text not in _TYPING:
             return AcceptClause(payload=first, via=self._via())
         typing = self.parse_typing("in accept parameter typing")
         param_name = first.segments[0] if first and len(first.segments) == 1 else None
@@ -797,7 +791,7 @@ class Parser:
         node = self._header("MetadataUsage", start, annotation)
         if self._at_name():
             node.attrs["name"] = self._ident_value(self.cur.advance())
-        if self._at("defined") or self._at(":"):
+        if self.cur.tok.text in _TYPING:
             node.attrs["typing"] = self.parse_typing()
         if self._eat("about"):
             node.attrs["about"] = self.parse_path("after 'about'")
@@ -954,12 +948,18 @@ def _set(attr: str, parse: Callable, *args):
 
 
 def _append(attr: str, parse: Callable, context: str):
-    """A clause that appends what follows its keyword when it parses."""
+    """A clause that appends each item of the ``,``-separated list after
+    its keyword that parses."""
     def clause(parser: Parser, attrs: dict, _node) -> None:
         parser.cur.advance()
-        value = parse(parser, context)
-        if value:
-            attrs.setdefault(attr, []).append(value)
+        item_context = context
+        while True:
+            value = parse(parser, item_context)
+            if value:
+                attrs.setdefault(attr, []).append(value)
+            if not parser._eat(","):
+                return
+            item_context = "after ','"
     return clause
 
 
@@ -967,14 +967,22 @@ _SEND_CLAUSES = {
     "via": _set("via", Parser.parse_path, "after 'via'"),
     "to": _set("to", Parser.parse_path, "after 'to'"),
 }
+#: the tokens that open a typing clause: ``:``, ``defined by``, ``typed by``
+_TYPING = (":", "defined", "typed")
+#: each SysML v2 spelling of a relationship -> the attribute it fills
+_DEFINITION_RELATIONSHIPS = {
+    "specializes": _append("specializes", Parser.parse_type_ref, "after 'specializes'"),
+    ":>": _append("specializes", Parser.parse_type_ref, "after ':>'"),
+}
 _USAGE_RELATIONSHIPS = {
-    ":": Parser._usage_typing,
-    "defined": Parser._usage_typing,
+    **dict.fromkeys(_TYPING, Parser._usage_typing),
     "specializes": _append("specializes_list", Parser.parse_type_ref, "after 'specializes'"),
     ":>": _append("subsets", Parser.parse_path, "after ':>'"),
+    "subsets": _append("subsets", Parser.parse_path, "after 'subsets'"),
     ":>>": _append("redefines", Parser.parse_path, "after redefinition"),
     "redefines": _append("redefines", Parser.parse_path, "after redefinition"),
     "::>": _append("refsubsets", Parser.parse_path, "after '::>'"),
+    "references": _append("refsubsets", Parser.parse_path, "after 'references'"),
 }
 _USAGE_ACTIONS = {
     "send": _set("send", Parser.parse_send),

@@ -4,6 +4,8 @@ import pytest
 
 from psumlint import profile
 from psumlint.api import Analysis, analyze_files
+from psumlint.lexer import tokenize
+from psumlint.source import SourceFile
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 #: the bundled profile catalog, the file ``DEFAULT_CATALOG`` is read from
@@ -40,6 +42,29 @@ def reconstruct(source, tokens) -> str:
         prev_end = tok.end
     parts.append(source.content[prev_end:])
     return "".join(parts)
+
+
+#: the other SysML v2 spelling of each relationship token of a usage
+RESPELLINGS = {":>": "subsets", ":": "typed by", ":>>": "redefines",
+               "::>": "references"}
+
+
+def respelled(text: str) -> str:
+    """``text`` with every relationship in its other SysML v2 spelling:
+    ``specializes`` on a definition becomes ``:>``, and each token of
+    ``RESPELLINGS`` its word form. Replacements are padded with spaces and
+    hold no line break, so every line keeps its number."""
+    tokens, _ = tokenize(SourceFile(path="<respelled>", content=text))
+    pieces, end, in_definition = [], 0, False
+    for tok in tokens:
+        if tok.text == "def" or tok.text in ";{}":
+            in_definition = tok.text == "def"
+        spelling = ":>" if in_definition and tok.text == "specializes" \
+            else RESPELLINGS.get(tok.text)
+        if spelling is not None:
+            pieces += [text[end:tok.start], f" {spelling} "]
+            end = tok.end
+    return "".join(pieces) + text[end:]
 
 
 def specialization_model(defs, usages, decorations=None) -> str:

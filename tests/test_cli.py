@@ -9,11 +9,13 @@ import pytest
 from psumlint import api, cli, profile
 from psumlint.api import analyze_text
 from psumlint.cli import run
+from psumlint.lexer import tokenize
 from psumlint.propagation import backward_trace, forward_trace
 from psumlint.reporting import render_risks
+from psumlint.source import SourceFile
 
 from conftest import (ALL_FIXTURES, CLEAN_FIXTURES, catalog_text, fixture_path,
-                      fixture_text)
+                      fixture_text, respelled)
 
 
 def invoke(capsys, *argv):
@@ -665,3 +667,28 @@ def test_splitting_root_packages_across_files_changes_no_report(tmp_path,
         assert (code, _without_lines_of_model(key, out), err) == (
             whole[key][0], _without_lines_of_model(key, whole[key][1]),
             whole[key][2]), key
+
+
+def test_respelling_relationships_changes_no_report(tmp_path, monkeypatch,
+                                                    capsys):
+    """Metamorphic: the clean fixtures with every relationship in its other
+    SysML v2 spelling give the same output and exit code everywhere."""
+    runs = {}
+    for version, spell in (("original", str), ("respelled", respelled)):
+        directory = tmp_path / version
+        directory.mkdir()
+        for name in CLEAN_FIXTURES:
+            (directory / name).write_text(spell(fixture_text(name)),
+                                          encoding="utf-8")
+        monkeypatch.chdir(directory)
+        runs[version] = _every_report(capsys, list(CLEAN_FIXTURES))
+    # the fixtures write no usage ':>', so no 'subsets' appears
+    tokens, _ = tokenize(SourceFile(path="<respelled>", content="".join(
+        respelled(fixture_text(name)) for name in CLEAN_FIXTURES)))
+    texts = {token.text for token in tokens}
+    assert texts.isdisjoint({"specializes", ":", ":>>", "::>"})
+    assert {":>", "typed", "redefines", "references"} <= texts
+    assert len(runs["original"]) == 12 + 84
+    for key, (code, out, err) in runs["original"].items():
+        assert code == 0, key
+        assert (code, out, err) == runs["respelled"][key], key

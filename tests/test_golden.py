@@ -183,6 +183,10 @@ PARSE_SNIPPETS = (
     "package P { state def S { transition t first a then b {",
     "package P { part a : T :> b :>> c ::> d redefines e specializes F "
     "defined by G; part q [0..*] : ~Q[1] = 5 [kg] parallel; }",
+    "package P { abstract part def A :> B, ~C[2] specializes D; "
+    "abstract part a subsets b, c typed by A; ref part r references a, b; "
+    "part q :> a, b :>> c, d ::> e, f; metadata m typed by M; "
+    "action x accept s typed by T via p; }",
     "package P { action x send S(1, y) via p to q accept z : T via w; "
     "action y accept at t; action w accept sig defined by Sig; "
     "action v accept a.b via c; action u via p to q send S; }",

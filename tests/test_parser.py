@@ -3,7 +3,7 @@ import tracemalloc
 from psumlint.source import SourceFile
 from psumlint.syntax import Parser, parse_file
 
-from conftest import ALL_FIXTURES, fixture_text
+from conftest import ALL_FIXTURES, fixture_text, respelled
 from test_golden import (DELIMITERS, deletion_mutants, load_parse_golden,
                          parse_digest, parse_record)
 
@@ -151,13 +151,19 @@ def test_parse_never_raises_and_returns_tree_on_token_deletion():
             record = parse_record(mutated, "mutant")
             assert parse_digest(record) == expected, \
                 f"{name}: deleting {token.text!r} at {token.start}"
-            if token.text == ";" and \
-                    mutated[token.start:].lstrip()[:1] == "}":
-                continue  # a ';' directly before '}' is legitimately optional
-            if token.text in DELIMITERS:
+            if needs_diagnostic(token, mutated):
                 assert record["diagnostics"], (
                     f"{name}: deleting {token.text!r} at "
                     f"{token.start} gave no diagnostic")
+
+
+def needs_diagnostic(token, mutated: str) -> bool:
+    """Whether deleting ``token`` must give a diagnostic: it is a
+    structural delimiter, but not a ';' directly before '}', which is
+    legitimately optional."""
+    if token.text == ";" and mutated[token.start:].lstrip()[:1] == "}":
+        return False
+    return token.text in DELIMITERS
 
 
 def test_parse_determinism():
@@ -233,6 +239,105 @@ def test_redefines_keyword_equals_symbolic_form():
         [p.text for p in b_kw.attr("redefines")] == ["a"]
 
 
+def test_definition_relationships_read_lists_in_either_spelling():
+    root, diags = parse("package P { part def A; part def C; "
+                        "part def B :> A, ~C[2] specializes C, A; "
+                        "part def D specializes A :> C; }")
+    assert diags == []
+    defs = {d.attr("name"): d for d in find(root, "Definition")}
+    assert [(r.path.text, r.conjugated, r.multiplicity)
+            for r in defs["B"].attr("specializes")] == [
+        ("A", False, None), ("C", True, "2"), ("C", False, None),
+        ("A", False, None)]
+    assert [r.path.text for r in defs["D"].attr("specializes")] == ["A", "C"]
+
+
+def test_usage_relationships_read_lists_in_either_spelling():
+    root, diags = parse("package P { part a; part c; "
+                        "part s :> a, c subsets c; part r :>> a, c redefines a; "
+                        "ref part f ::> a, c references c, a.b; }")
+    assert diags == []
+    usages = {u.attr("name"): u for u in find(root, "Usage")}
+    assert [p.text for p in usages["s"].attr("subsets")] == ["a", "c", "c"]
+    assert [p.text for p in usages["r"].attr("redefines")] == ["a", "c", "a"]
+    assert [p.text for p in usages["f"].attr("refsubsets")] == \
+        ["a", "c", "c", "a.b"]
+    # a list item that fails to parse stores nothing, and the list goes on
+    root, diags = parse("package P { part s :> a, ; part t :> , b; }")
+    assert [(d.code, d.message) for d in diags] == [
+        ("P002", "expected a name after ',', found ';'"),
+        ("P002", "expected a name after ':>', found ','")]
+    usages = {u.attr("name"): u for u in find(root, "Usage")}
+    assert [p.text for p in usages["s"].attr("subsets")] == ["a"]
+    assert [p.text for p in usages["t"].attr("subsets")] == ["b"]
+
+
+def test_typed_by_equals_colon_and_defined_by():
+    forms = [("package P { part a typed by ~T[1]; }", "Usage"),
+             ("package P { metadata m typed by M about p; }", "MetadataUsage")]
+    for text, kind in forms:
+        for spelling in (":", "defined by"):
+            typings = [find(parse(t)[0], kind)[0].attr("typing")
+                       for t in (text, text.replace("typed by", spelling))]
+            assert len({(ref.path.segments, ref.conjugated, ref.multiplicity)
+                        for ref in typings}) == 1
+    root, diags = parse("package P { action x accept sig typed by Sig via p; }")
+    assert diags == []
+    accept = find(root, "Usage")[0].attr("accept")
+    assert (accept.param_name, accept.typing.path.text, accept.via.text) == \
+        ("sig", "Sig", "p")
+    _, diags = parse("package P { part a typed A; }")
+    assert [d.message for d in diags] == ["expected 'by' in 'typed by', found 'A'"]
+
+
+def test_abstract_records_nothing():
+    plain, d1 = parse("package P { part def A; in part a : A; part b; }")
+    abstract, d2 = parse("package P { abstract part def A; "
+                         "in abstract part a : A; abstract part b; }")
+    assert d1 == [] and d2 == []
+
+    def shape(root):
+        """Each declaration's kind and attributes, its typing by name."""
+        return [(n.kind, {k: v.path.text if k == "typing" else v
+                          for k, v in n.attrs.items()})
+                for n in find(root, "Definition") + find(root, "Usage")]
+    assert shape(plain) == shape(abstract) == [
+        ("Definition", {"keyword": "part", "name": "A"}),
+        ("Usage", {"keyword": "part", "direction": "in", "name": "a",
+                   "typing": "A"}),
+        ("Usage", {"keyword": "part", "name": "b"})]
+
+
+def test_reserved_relationship_words_are_names_only_when_quoted():
+    for word in ("subsets", "typed", "references", "abstract"):
+        _, diags = parse(f"package P {{ part {word}; }}")
+        assert [d.code for d in diags] == ["P002"], word
+        root, diags = parse(f"package P {{ part '{word}'; part x :> '{word}'; }}")
+        assert diags == [], word
+        assert [u.attr("name") for u in find(root, "Usage")] == [word, "x"]
+
+
+def test_doc_takes_only_a_comment_written_after_it():
+    _, diags = parse("package P { /* before */ doc ; }")
+    assert [(d.code, d.message) for d in diags] == [
+        ("P002", "expected a comment after 'doc'")]
+    root, diags = parse("package P { /* a */ doc /* b */ ; part p; }")
+    assert diags == []
+    assert find(root, "DocComment")[0].attr("text") == "/* b */"
+    # the comment before 'doc' stays trivia for the next declaration
+    assert find(root, "Usage")[0].attr("trivia") == ("/* a */",)
+
+
+def test_token_deletion_over_respelled_text_never_raises():
+    text = respelled(fixture_text("acc.sysml"))
+    mutants = list(deletion_mutants("acc.sysml", text))
+    assert len(mutants) > 200
+    for token, mutated in mutants:
+        diagnostics = parse(mutated, "mutant")[1]
+        if needs_diagnostic(token, mutated):
+            assert diagnostics, f"deleting {token.text!r} at {token.start}"
+
+
 def test_parser_asks_only_about_keyword_operator_or_punctuation_text():
     # Parser._at compares token text alone, which is exact only because no
     # identifier, literal or bracket token has such a text
@@ -243,7 +348,8 @@ def test_parser_asks_only_about_keyword_operator_or_punctuation_text():
     from psumlint.lexer import KEYWORDS, TokenKind, tokenize
     texts = set(re.findall(r'_(?:at|eat|expect)\("([^"]+)"',
                            inspect.getsource(syntax)))
-    for table in (syntax._USAGE_RELATIONSHIPS, syntax._USAGE_ACTIONS,
+    for table in (syntax._DEFINITION_RELATIONSHIPS,
+                  syntax._USAGE_RELATIONSHIPS, syntax._USAGE_ACTIONS,
                   syntax._TRANSITION_CLAUSES, syntax._SEND_CLAUSES,
                   syntax._BOOL_SPELLINGS):
         texts.update(table)
