@@ -1,6 +1,6 @@
 """Resolved semantic model: elements, ownership, name resolution, edges.
 
-build_model turns parsed trees into an immutable model:
+build_model fills an empty Model from parsed trees; built, it is immutable:
 
 * every declaration is interned as an Element with a dense id, keeping
   what later steps read of its node (interning alone reads the tree),
@@ -178,7 +178,7 @@ class Element:
         self.qualified_name = qualified_name
         self.owner = owner
         self.span = span
-        self.owned: tuple[int, ...] = ()
+        self.owned: Sequence[int] = []
         self.annotations: tuple = ()
         self.body_properties: tuple[BodyProperty, ...] = ()
         self.ref_targets: tuple[RefTarget, ...] = ()
@@ -195,39 +195,37 @@ class Element:
 class Model:
     """The resolved model.
 
-    ``build_model`` creates it when interning ends and resolves through it.
-    While relationships resolve, a closure search that reaches an element in
-    ``_unstarted``, the table of pending relationships, raises
-    ``_Unresolved`` so the builder resolves that element first. ``freeze``
-    installs the edges that cycle removal kept, in declaration order: by
-    source element, each element's as written. Of each specialization cycle
-    the later-declared edge is dropped (R003).
+    ``build_model`` makes it empty, fills it and resolves through it.
+    ``files``, ``roots``, ``prelude_roots`` and ``Element.owned`` are lists
+    until interning ends. While relationships resolve, a closure search that
+    reaches an element in ``_unstarted``, the table of pending relationships,
+    raises ``_Unresolved`` so the builder resolves that element first. Cycle
+    removal installs the edges it kept, in declaration order: by source
+    element, each element's as written. Of each specialization cycle the
+    later-declared edge is dropped (R003).
     """
 
     __slots__ = ("files", "elements", "edges", "diagnostics", "roots",
                  "prelude_roots", "risk_levels", "risks", "imports",
                  "_direct", "_root_scope", "_inherits", "_unstarted")
 
-    def __init__(self, files: tuple[SourceFile, ...], elements: list[Element],
-                 diagnostics: list[Diagnostic], roots: tuple[int, ...],
-                 prelude_roots: tuple[int, ...], risk_levels: tuple[str, ...],
-                 direct: dict[int, dict[str, int]],
-                 root_scope: dict[str, int]) -> None:
-        self.files = files
-        self.elements = elements
-        self.edges: tuple[SpecializationEdge, ...] = ()
-        self.diagnostics = diagnostics
-        self.roots = roots
-        self.prelude_roots = prelude_roots
+    def __init__(self, risk_levels: tuple[str, ...]) -> None:
+        self.files: Sequence[SourceFile] = []
+        self.elements: list[Element] = []
+        self.edges: Sequence[SpecializationEdge] = []
+        self.diagnostics: list[Diagnostic] = []
+        self.roots: Sequence[int] = []
+        self.prelude_roots: Sequence[int] = []
         self.risk_levels = risk_levels
         self.risks: list = []  # list[RiskAnnotation], filled at build
         #: scope -> (imported element, wildcard); every user root imports the
         #: prelude packages' members after its own imports
         self.imports: dict[int, tuple[tuple[int, bool], ...]] = {}
-        self._direct = direct
-        self._root_scope = root_scope
+        #: element -> its owned members by name
+        self._direct: dict[int, dict[str, int]] = {}
+        self._root_scope: dict[str, int] = {}
         #: element -> its edges of ``INHERITANCE_KINDS``, in edge order; grown
-        #: as edges resolve, rebuilt by freeze
+        #: as edges resolve, replaced by the kept ones when cycles are removed
         self._inherits: dict[int, Sequence[SpecializationEdge]] = {}
         #: element -> its relationships, the next one last, until started
         self._unstarted: dict[int, list] = {}
@@ -409,68 +407,64 @@ PRELUDE_SPEC = {
 # -- builder -----------------------------------------------------------------
 
 class _Builder:
-    def __init__(self) -> None:
-        self.elements: list[Element] = []
-        self.edges: list[SpecializationEdge] = []
-        self.diagnostics: list[Diagnostic] = []
-        self.roots: list[int] = []
-        self.prelude_roots: list[int] = []
-        self.imports: dict[int, list[tuple[NamePath, bool]]] = {}
-        self.owned: dict[int, list[int]] = {}
-        self.member_map: dict[int, dict[str, int]] = {}
-        self.unstarted: dict[int, list] = {}  # becomes Model._unstarted
+    """Fills ``model``, keeping only what it never holds: unresolved import
+    paths, annotation clauses and the pending relationships."""
+
+    def __init__(self, risk_levels: tuple[str, ...]) -> None:
+        self.model = Model(risk_levels)
+        self.import_paths: dict[int, list[tuple[NamePath, bool]]] = {}
         self.clauses: list[tuple[Element, AnnotationClause]] = []
-        self.model: Optional[Model] = None
+        self.unstarted: dict[int, list] = {}
 
     # ---- interning ----------------------------------------------------------
 
     def new_element(self, kind: ElementKind, name: Optional[str], owner: Optional[int],
                     span: Span, is_prelude: bool = False) -> int:
-        eid = len(self.elements)
+        model = self.model
+        eid = len(model.elements)
         qualified = None
         if name is not None:
             qualified = _name_segment(name)
             if owner is not None:
-                owner_qn = self.elements[owner].qualified_name
+                owner_qn = model.elements[owner].qualified_name
                 qualified = f"{owner_qn}::{qualified}" if owner_qn else None
-        element = Element(id=eid, kind=kind, name=name, qualified_name=qualified,
-                          owner=owner, span=span, is_prelude=is_prelude)
-        self.elements.append(element)
-        self.owned[eid] = []
-        self.member_map[eid] = {}
+        model.elements.append(Element(
+            id=eid, kind=kind, name=name, qualified_name=qualified,
+            owner=owner, span=span, is_prelude=is_prelude))
+        model._direct[eid] = {}
         if owner is not None:
-            self.owned[owner].append(eid)
+            model.elements[owner].owned.append(eid)
             if name is not None:
-                siblings = self.member_map[owner]
+                siblings = model._direct[owner]
                 if name in siblings and not is_prelude:
-                    self.diagnostics.append(diagnostics.make(
+                    model.diagnostics.append(diagnostics.make(
                         "R002", span, f"duplicate sibling name {name!r}",
-                        related=((self.elements[siblings[name]].span,
+                        related=((model.elements[siblings[name]].span,
                                   "first declared here"),)))
                 else:
                     siblings[name] = eid
         return eid
 
-    def build_prelude(self, risk_levels: tuple[str, ...]) -> None:
+    def build_prelude(self) -> None:
         zero = SourceFile(path="<prelude>", content="")
         span = zero.span(0, 0)
         for pkg_name, member_names in PRELUDE_SPEC.items():
             pkg = self.new_element(ElementKind.PACKAGE, pkg_name, None, span,
                                    is_prelude=True)
-            self.prelude_roots.append(pkg)
+            self.model.prelude_roots.append(pkg)
             for member in member_names:
                 kind = (ElementKind.ITEM_DEF if member == "Risk"
                         else ElementKind.ATTRIBUTE_DEF)
                 mid = self.new_element(kind, member, pkg, span, is_prelude=True)
                 if member == "LevelEnum":
-                    for literal in risk_levels:
+                    for literal in self.model.risk_levels:
                         self.new_element(ElementKind.ATTRIBUTE_USAGE, literal, mid,
                                          span, is_prelude=True)
 
     def intern_tree(self, root: AstNode) -> None:
         for child in root.children:
             if child.kind == "Package":
-                self.roots.append(self.intern_node(child, owner=None))
+                self.model.roots.append(self.intern_node(child, owner=None))
 
     def intern_node(self, node: AstNode, owner: Optional[int]) -> Optional[int]:
         kind = self.element_kind_for(node)
@@ -488,8 +482,7 @@ class _Builder:
             self.intern_node(child, eid)
         props = _collect_body_properties(node)
         if props:
-            element = self.elements[eid]
-            element.body_properties = tuple(props)
+            self.model.elements[eid].body_properties = tuple(props)
         return eid
 
     def keep(self, eid: int, attrs: dict) -> None:
@@ -498,7 +491,7 @@ class _Builder:
         relationships = _relationships(attrs)
         if relationships:
             self.unstarted[eid] = relationships[::-1]
-        element = self.elements[eid]
+        element = self.model.elements[eid]
         element.is_reference_carrier = (
             "ref" in (attrs.get("modifiers") or ())
             and bool(attrs.get("refsubsets") or attrs.get("redefines")))
@@ -533,7 +526,7 @@ class _Builder:
         if node.kind == "Import" and owner is not None:
             target = node.attr("target")
             if target is not None:
-                self.imports.setdefault(owner, []).append(
+                self.import_paths.setdefault(owner, []).append(
                     (target, node.attr("wildcard", False)))
             return
         if node.kind in ("EntryAction", "SuccessionThen"):
@@ -544,116 +537,109 @@ class _Builder:
 
     # ---- resolution ----------------------------------------------------------
 
-    def start_model(self, files: list[SourceFile],
-                    risk_levels: tuple[str, ...]) -> Model:
-        """Fix ownership, index the roots and hand name lookup to the model."""
-        for eid, owned in self.owned.items():
-            self.elements[eid].owned = tuple(owned)
-        root_scope: dict[str, int] = {}
-        for rid in self.roots:
-            element = self.elements[rid]
+    def index_roots(self) -> None:
+        """End interning: fix ownership and the file and root lists, and
+        index the roots by name (R002 on a repeated user root name)."""
+        model = self.model
+        for element in model.elements:
+            element.owned = tuple(element.owned)
+        model.files = tuple(model.files)
+        model.roots = tuple(model.roots)
+        model.prelude_roots = tuple(model.prelude_roots)
+        for rid in model.roots:
+            element = model.elements[rid]
             if element.name is None:
                 continue
-            first = root_scope.setdefault(element.name, rid)
+            first = model._root_scope.setdefault(element.name, rid)
             if first != rid:
-                self.diagnostics.append(diagnostics.make(
+                model.diagnostics.append(diagnostics.make(
                     "R002", element.span,
                     f"duplicate root package name {element.name!r}",
-                    related=((self.elements[first].span, "first declared here"),)))
-        for rid in self.prelude_roots:
-            root_scope.setdefault(self.elements[rid].name, rid)
-        self.model = Model(
-            files=tuple(files),
-            elements=self.elements,
-            diagnostics=self.diagnostics,
-            roots=tuple(self.roots),
-            prelude_roots=tuple(self.prelude_roots),
-            risk_levels=risk_levels,
-            direct=self.member_map,
-            root_scope=root_scope,
-        )
-        return self.model
+                    related=((model.elements[first].span, "first declared here"),)))
+        for rid in model.prelude_roots:
+            model._root_scope.setdefault(model.elements[rid].name, rid)
 
     def resolve_imports(self) -> None:
         """Resolve imports first: they see only direct members and roots."""
+        model = self.model
         resolved: dict[int, list[tuple[int, bool]]] = {}
-        for scope, entries in self.imports.items():
+        for scope, entries in self.import_paths.items():
             targets = resolved.setdefault(scope, [])
             for path, wildcard in entries:
-                ids, failing = self.model.lookup(path.segments, scope)
+                ids, failing = model.lookup(path.segments, scope)
                 if ids is None:
-                    self.diagnostics.append(diagnostics.make(
+                    model.diagnostics.append(diagnostics.make(
                         "R001", path.span,
                         f"cannot resolve {failing!r} in import {path.text!r}"))
                     continue
                 targets.append((ids[-1], wildcard))
-        prelude = [(pkg, True) for pkg in self.prelude_roots]
-        for rid in self.roots:
+        prelude = [(pkg, True) for pkg in model.prelude_roots]
+        for rid in model.roots:
             resolved[rid] = resolved.get(rid, []) + prelude
-        self.model.imports = {k: tuple(v) for k, v in resolved.items()}
+        model.imports = {k: tuple(v) for k, v in resolved.items()}
 
     def resolve_relationships(self) -> None:
         """Resolve the table of pending relationships that interning filled,
-        element by element in declaration order; starting an element pops
-        its entry. A lookup that reaches an element still in the table
-        raises ``_Unresolved``. That element goes on an explicit
-        stack and is resolved first; then the interrupted relationship is
-        retried. Lookups have no side effects before they return, so a
-        retry is safe. Started elements stay visible with the edges they
-        have so far, so a cycle still resolves and R003 reports it. Once its
-        own relationships have resolved, an element starts its unstarted
-        inheritance targets, first edge's target first, before any retry.
-        The edges end sorted by source element.
+        element by element in declaration order; the model reads it as
+        ``_unstarted``, and starting an element pops its entry. A lookup
+        that reaches an element still in the table raises ``_Unresolved``.
+        That element goes on an explicit stack and is resolved first; then
+        the interrupted relationship is retried. Lookups have no side
+        effects before they return, so a retry is safe. Started elements
+        stay visible with the edges they have so far, so a cycle still
+        resolves and R003 reports it. Once its own relationships have
+        resolved, an element starts its unstarted inheritance targets, first
+        edge's target first, before any retry. The edges end sorted by
+        source element.
         """
         model = self.model
-        model._unstarted = self.unstarted
-        for eid in list(model._unstarted):
-            if eid not in model._unstarted:
+        model._unstarted = unstarted = self.unstarted
+        for eid in list(unstarted):
+            if eid not in unstarted:
                 continue
-            stack = [self._start(eid)]
+            stack = [(eid, unstarted.pop(eid))]
             while stack:
                 source, todo = stack[-1]
                 if not todo:
                     targets = (edge.target for edge in model.inheritance_edges(source))
-                    target = next((t for t in targets if t in model._unstarted), None)
+                    target = next((t for t in targets if t in unstarted), None)
                     if target is None:
                         stack.pop()
                     else:
-                        stack.append(self._start(target))
+                        stack.append((target, unstarted.pop(target)))
                     continue
                 try:
                     self.resolve_relationship(source, *todo[-1])
                 except _Unresolved as blocked:
-                    stack.append(self._start(blocked.args[0]))
+                    target = blocked.args[0]
+                    stack.append((target, unstarted.pop(target)))
                     continue
                 todo.pop()
-        self.edges.sort(key=lambda edge: edge.source)
-
-    def _start(self, eid: int) -> tuple[int, list]:
-        """Mark an element started; returns it and its relationships with
-        the next one to resolve last."""
-        return eid, self.model._unstarted.pop(eid)
+        # the emptied dict keeps the table it grew to; a new one does not
+        model._unstarted = {}
+        model.edges.sort(key=lambda edge: edge.source)
 
     def resolve_relationship(self, eid: int, path: NamePath,
                              kind: Optional[EdgeKind], conjugated: bool) -> None:
         """Resolve one name of an element into an edge of ``kind``, or with
         ``kind`` None into its ``about`` target."""
-        ids, failing = self.model.lookup(path.segments, eid, exclude=eid)
-        element = self.elements[eid]
+        model = self.model
+        ids, failing = model.lookup(path.segments, eid, exclude=eid)
+        element = model.elements[eid]
         if kind is None:
             if ids:
                 element.about_target = ids[-1]
             return
         if ids is None:
-            self.diagnostics.append(diagnostics.make(
+            model.diagnostics.append(diagnostics.make(
                 "R001", path.span,
                 f"cannot resolve {failing!r} in {path.text!r}"))
             return
         edge = SpecializationEdge(source=eid, target=ids[-1], kind=kind,
                                   span=path.span, conjugated=conjugated)
-        self.edges.append(edge)
+        model.edges.append(edge)
         if kind in INHERITANCE_KINDS:
-            self.model._inherits.setdefault(eid, []).append(edge)
+            model._inherits.setdefault(eid, []).append(edge)
         if kind in (EdgeKind.REDEFINITION, EdgeKind.REFERENCE_SUBSETTING):
             element.ref_targets += (_make_ref_target(ids, path),)
 
@@ -662,16 +648,19 @@ class _Builder:
     def remove_cycles(self) -> None:
         """Drop, in declaration order, each inheritance edge that would close
         a cycle over the edges kept before it (R003): of each cycle, the
-        later-declared edge is dropped.
+        later-declared edge is dropped. Installs the kept edges, and each
+        element's kept inheritance edges, as tuples.
 
         Every node of a cycle lies in one strongly connected component of
         the inheritance edges, so only an edge inside a component is
         searched, and the search stays inside that component.
         """
+        model = self.model
         component = strongly_connected(
             {source: [edge.target for edge in edges]
-             for source, edges in self.model._inherits.items()})
+             for source, edges in model._inherits.items()})
         kept: list[SpecializationEdge] = []
+        inherits: dict[int, list[SpecializationEdge]] = {}
         # kept inheritance edges inside a component, source -> targets
         inside: dict[int, list[int]] = {}
 
@@ -688,34 +677,21 @@ class _Builder:
                     stack.extend(inside.get(node, ()))
             return False
 
-        for edge in self.edges:
-            if (edge.kind in INHERITANCE_KINDS
-                    and component[edge.source] == component[edge.target]):
-                if edge.source == edge.target or would_cycle(edge):
-                    self.diagnostics.append(diagnostics.make(
-                        "R003", edge.span,
-                        f"specialization cycle through "
-                        f"{self.elements[edge.source].display_name()}; "
-                        f"edge dropped"))
-                    continue
-                inside.setdefault(edge.source, []).append(edge.target)
-            kept.append(edge)
-        self.edges = kept
-
-    # ---- finish ---------------------------------------------------------------
-
-    def freeze(self) -> Model:
-        """Install the acyclic edge set; every element has started."""
-        inherits: dict[int, list[SpecializationEdge]] = {}
-        for edge in self.edges:
+        for edge in model.edges:
             if edge.kind in INHERITANCE_KINDS:
+                if component[edge.source] == component[edge.target]:
+                    if edge.source == edge.target or would_cycle(edge):
+                        model.diagnostics.append(diagnostics.make(
+                            "R003", edge.span,
+                            f"specialization cycle through "
+                            f"{model.elements[edge.source].display_name()}; "
+                            f"edge dropped"))
+                        continue
+                    inside.setdefault(edge.source, []).append(edge.target)
                 inherits.setdefault(edge.source, []).append(edge)
-        model = self.model
-        model.edges = tuple(self.edges)
+            kept.append(edge)
+        model.edges = tuple(kept)
         model._inherits = {k: tuple(v) for k, v in inherits.items()}
-        # the emptied dict keeps the table it grew to; a new one does not
-        model._unstarted = {}
-        return model
 
 
 _PATH_RELATIONSHIPS = (("subsets", EdgeKind.SUBSETTING),
@@ -727,7 +703,7 @@ def _relationships(attrs: dict) -> list[tuple[NamePath, Optional[EdgeKind], bool
     """The names an element's node attributes resolve, in resolution order,
     as (path, edge kind, conjugated); the ``about`` target has no edge kind."""
     todo = [(ref.path, EdgeKind.SUBCLASSIFICATION, False)
-            for name in ("specializes", "specializes_list") for ref in attrs.get(name) or ()]
+            for ref in attrs.get("specializes") or ()]
     typing = attrs.get("typing")
     if typing is not None:
         todo.append((typing.path, EdgeKind.FEATURE_TYPING, typing.conjugated))
@@ -780,18 +756,17 @@ def build_model(parsed: Iterable[tuple[SourceFile, AstNode, list[Diagnostic]]],
     """
     from . import profile  # local import: profile depends on model types
     catalog = catalog or profile.DEFAULT_CATALOG
-    builder = _Builder()
-    builder.build_prelude(catalog.risk_levels)
-    files = []
+    builder = _Builder(catalog.risk_levels)
+    model = builder.model
+    builder.build_prelude()
     for source, tree, parse_diags in parsed:
-        files.append(source)
-        builder.diagnostics.extend(parse_diags)
+        model.files.append(source)
+        model.diagnostics.extend(parse_diags)
         builder.intern_tree(tree)
         del tree  # free it before the next file is parsed
-    builder.start_model(files, catalog.risk_levels)
+    builder.index_roots()
     builder.resolve_imports()
     builder.resolve_relationships()
     builder.remove_cycles()
-    model = builder.freeze()
     profile.annotate_model(model, builder.clauses, catalog=catalog)
     return model

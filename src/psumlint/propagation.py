@@ -216,24 +216,33 @@ class TraceResult(NamedTuple):
 
 
 def _walk(graph: PropagationGraph, start: int, kinds: frozenset,
-          reverse: bool) -> TraceResult:
+          reverse: bool, seen: Optional[set[int]] = None) -> TraceResult:
+    """Breadth-first walk from ``start``. A node in ``seen`` is neither
+    reached nor walked from; unless the walk meets an edge back to
+    ``start``, the nodes it reached, ``start`` excepted, join ``seen``."""
     if not graph.has_node(start):
         raise TraceStartError(
             f"E001: {graph.model.elements[start].display_name()} is not a "
             f"node of the propagation graph")
     adjacency = graph.adjacency(kinds, reverse)
     via: dict[int, PropagationEdge] = {}
+    skip = () if seen is None else seen
+    cyclic = False
     frontier = [start]
     order = [start]
     while frontier:
         nxt: list[int] = []
         for node in sorted(frontier):
             for peer, edge in adjacency.get(node, ()):
-                if peer not in via and peer != start:
+                if peer == start:
+                    cyclic = True
+                elif peer not in via and peer not in skip:
                     via[peer] = edge
                     nxt.append(peer)
         order.extend(nxt)
         frontier = nxt
+    if seen is not None and not cyclic:
+        seen.update(via)
     return TraceResult(start=start, reached=tuple(order), via=via)
 
 
@@ -263,7 +272,14 @@ class TopicRecord(NamedTuple):
 
 
 def topic_report(model: Model, graph: PropagationGraph) -> list[TopicRecord]:
-    """One record per directly declared uncertainty topic."""
+    """One record per directly declared uncertainty topic.
+
+    A topic's members share one walk per direction: a node an earlier
+    member's walk reached is not walked again, so a topic costs one pass
+    over what its members reach. A node first reached from a later member
+    is reached only along paths that avoid those nodes, so every list keeps
+    the order of one trace per member.
+    """
     risks_at: dict[int, list[RiskAnnotation]] = {}
     for risk in model.risks:
         risks_at.setdefault(risk.element, []).append(risk)
@@ -279,11 +295,15 @@ def topic_report(model: Model, graph: PropagationGraph) -> list[TopicRecord]:
         roots: dict[int, None] = {}
         effects: dict[int, None] = {}
         risk_hits: dict[RiskAnnotation, None] = {}
+        behind: set[int] = set()
+        ahead: set[int] = set()
         for member in members:
             if not graph.has_node(member):
                 continue
-            roots.update(dict.fromkeys(backward_trace(graph, member).roots))
-            for node in forward_trace(graph, member).reached:
+            for node in _walk(graph, member, TRACE_KINDS, True, behind).reached:
+                if not _ROOT_ROLES.isdisjoint(graph.roles.get(node, ())):
+                    roots[node] = None
+            for node in _walk(graph, member, TRACE_KINDS, False, ahead).reached:
                 node_roles = graph.roles.get(node, set())
                 if NodeRole.EFFECT in node_roles and node != member:
                     effects[node] = None

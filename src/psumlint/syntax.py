@@ -976,7 +976,7 @@ _DEFINITION_RELATIONSHIPS = {
 }
 _USAGE_RELATIONSHIPS = {
     **dict.fromkeys(_TYPING, Parser._usage_typing),
-    "specializes": _append("specializes_list", Parser.parse_type_ref, "after 'specializes'"),
+    "specializes": _append("subsets", Parser.parse_path, "after 'specializes'"),
     ":>": _append("subsets", Parser.parse_path, "after ':>'"),
     "subsets": _append("subsets", Parser.parse_path, "after 'subsets'"),
     ":>>": _append("redefines", Parser.parse_path, "after redefinition"),

@@ -255,7 +255,7 @@ def test_cycle_removal_and_closure_on_random_models(data):
     remove_cycles = _Builder.remove_cycles
 
     def recording(builder):
-        declared.extend(builder.edges)
+        declared.extend(builder.model.edges)
         remove_cycles(builder)
 
     with mock.patch.object(_Builder, "remove_cycles", recording):
@@ -376,8 +376,7 @@ def test_every_specialization_has_edge_or_r001():
         nodes = [parse_file(source)[0]]
         for node in nodes:
             nodes.extend(node.children)
-            for name in ("specializes", "specializes_list", "subsets",
-                         "redefines", "refsubsets"):
+            for name in ("specializes", "subsets", "redefines", "refsubsets"):
                 declared += len(node.attr(name) or ())
             declared += 1 if node.attr("typing") else 0
             # an accept parameter is an element typed as the clause says
@@ -509,6 +508,37 @@ def test_built_model_keeps_no_unstarted_table():
         [[i - 1] if i else [] for i in range(200)], [])).model
     assert not model.diagnostics
     assert sys.getsizeof(model._unstarted) == sys.getsizeof({})
+
+
+def test_built_model_holds_tuples():
+    # files, roots, ownership and edges grow as lists while the model is
+    # built, and are tuples once it is
+    model = analyze_files([fixture_path(name) for name in ALL_FIXTURES]).model
+    assert model.edges and model.roots and len(model.files) == len(ALL_FIXTURES)
+    for sequence in (model.files, model.roots, model.prelude_roots, model.edges):
+        assert type(sequence) is tuple
+    assert all(type(element.owned) is tuple for element in model.elements)
+
+
+def test_usage_specializes_is_subsetting():
+    def edges(declarations):
+        analysis = analyze_text("package P { " + declarations + " }")
+        assert analysis.findings == []
+        model = analysis.model
+        return [(model.elements[e.source].name, model.elements[e.target].name,
+                 e.kind) for e in model.edges]
+
+    assert edges("part b; part a specializes b;") == \
+        edges("part b; part a :> b;") == [("a", "b", EdgeKind.SUBSETTING)]
+    assert edges("part def B; part def A specializes B;") == \
+        edges("part def B; part def A :> B;") == \
+        [("A", "B", EdgeKind.SUBCLASSIFICATION)]
+    # a usage's specializes names a feature, as its :> does: no
+    # multiplicity and no conjugation
+    for relation in ("specializes F[1]", "specializes ~F", ":> F[1]"):
+        codes = [d.code for d in analyze_text(
+            f"package P {{ part F; part a {relation}; }}").findings]
+        assert "P002" in codes, relation
 
 
 def _live_syntax_nodes() -> int:

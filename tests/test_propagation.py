@@ -1,9 +1,10 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psumlint import propagation
@@ -12,9 +13,10 @@ from psumlint.model import strongly_connected
 from psumlint.propagation import (EFFECT_CHAIN_KINDS, NodeRole,
                                   PropagationEdge, PropagationEdgeKind,
                                   PropagationGraph,
-                                  SpecSuggestion, TRACE_KINDS,
+                                  SpecSuggestion, TRACE_KINDS, TopicRecord,
                                   TraceStartError, backward_trace,
-                                  forward_trace)
+                                  forward_trace, topic_report)
+from psumlint.profile import UNCERTAINTY_TOPIC, RiskAnnotation
 from psumlint.reporting import graph_node_labels, render_graph, render_trace
 from psumlint.source import SourceFile
 
@@ -416,6 +418,99 @@ def test_topics_read_model_risks_once():
     assert [risk.name for risk in record.risks] == \
         [f"r{i}" for i in range(count)]
     assert len(iterations) <= 1
+
+
+def _topic_report_per_member(model, graph):
+    """``topic_report`` by one full forward and one full backward trace
+    from every member, as it was before its members shared their walks."""
+    risks_at = {}
+    for risk in model.risks:
+        risks_at.setdefault(risk.element, []).append(risk)
+    records = []
+    for element in model.elements:
+        apps = [a for a in element.annotations
+                if a.stereotype == UNCERTAINTY_TOPIC]
+        if not apps:
+            continue
+        members = dict.fromkeys(ref.target for app in apps
+                                for ref in app.uncertainty_refs)
+        roots, effects, risk_hits = {}, {}, {}
+        for member in members:
+            if not graph.has_node(member):
+                continue
+            roots.update(dict.fromkeys(backward_trace(graph, member).roots))
+            for node in forward_trace(graph, member).reached:
+                node_roles = graph.roles.get(node, set())
+                if NodeRole.EFFECT in node_roles and node != member:
+                    effects[node] = None
+                if NodeRole.RISK in node_roles:
+                    risk_hits.update(dict.fromkeys(risks_at.get(node, ())))
+        records.append(TopicRecord(
+            topic=element.id, members=tuple(members), roots=tuple(roots),
+            effects=tuple(effects), risks=tuple(risk_hits)))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROLES, _REFERENCES,
+       st.lists(st.lists(st.integers(0, 7), max_size=7), max_size=3),
+       st.lists(st.tuples(_NODE, _NODE), max_size=4))
+@example(  # 0's walk meets the edge back to 0, so 1 must reach 0 through 2
+    roles={0: {NodeRole.EFFECT}, 1: {NodeRole.UNCERTAINTY},
+           2: {NodeRole.UNCERTAINTY}},
+    references={(0, 2, PropagationEdgeKind.PROPAGATES): [],
+                (2, 0, PropagationEdgeKind.PROPAGATES): [],
+                (1, 2, PropagationEdgeKind.PROPAGATES): []},
+    topics=[[0, 1]], risks=[])
+def test_topic_report_matches_a_trace_per_member(roles, references, topics,
+                                                 risks):
+    # random graphs with cycles through members, risks and members that
+    # are not nodes (7 never is); element i < len(topics) is topic i
+    source = SourceFile(path="<test>", content="abcd")
+    span = source.span(0, 1)
+    edges = [PropagationEdge(node, peer, kind, (span,))
+             for node, peer, kind in references]
+    elements = [SimpleNamespace(id=eid, annotations=()) for eid in range(8)]
+    for eid, members in enumerate(topics):
+        elements[eid].annotations = (SimpleNamespace(
+            stereotype=UNCERTAINTY_TOPIC,
+            uncertainty_refs=[SimpleNamespace(target=m) for m in members]),)
+    model = SimpleNamespace(elements=elements, risks=[
+        RiskAnnotation(f"r{i}", element, target, None, span)
+        for i, (element, target) in enumerate(risks)])
+    graph = PropagationGraph(model, roles, edges)
+    assert topic_report(model, graph) == _topic_report_per_member(model, graph)
+
+
+def test_topic_report_over_a_member_chain_in_linear_work():
+    # a topic names every node of a 2,000-node effect chain, last first:
+    # one trace per member would read the adjacency of n^2 / 2 nodes
+    count = 2000
+    parts = ["«Uncertainty<ocr, epi, subj>» part u0 { «Effect» ref ::> u1; }"]
+    parts += [f"«Effect<con>» part u{i} {{ «Effect» ref ::> u{i + 1}; }}"
+              for i in range(1, count - 1)]
+    parts.append(f"«Effect<con>» part u{count - 1};")
+    parts.append("«UncertaintyTopic» part t { " + " ".join(
+        f"«Uncertainty» ref ::> u{i};" for i in reversed(range(count))) + " }")
+    analysis = analyze_text("package P {\n" + "\n".join(parts) + "\n}\n")
+    analysis.graph
+    chain = [rq(analysis, f"P::u{i}") for i in range(count)]
+    reads = []
+    adjacency = PropagationGraph.adjacency
+
+    class CountingTable(dict):
+        def get(self, node, default=None):
+            reads.append(node)
+            return super().get(node, default)
+
+    def counting(graph, kinds, reverse):
+        return CountingTable(adjacency(graph, kinds, reverse))
+
+    with mock.patch.object(PropagationGraph, "adjacency", counting):
+        [record] = analysis.topics()
+    assert len(reads) < 10 * count
+    assert record.members == tuple(reversed(chain))
+    assert record.effects == tuple(reversed(chain[1:]))
 
 
 def test_groups_edges_do_not_contribute_to_reachability(acc):
